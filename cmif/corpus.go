@@ -113,8 +113,9 @@ func RunSchedBench(cfg SchedBenchConfig) (*SchedBenchReport, error) {
 	return experiments.SchedBench(cfg)
 }
 
-// WireBenchConfig sizes the S3 wire-protocol scenarios: serialized-v1 vs
-// multiplexed-v2 connection disciplines at each worker count, plus the
+// WireBenchConfig sizes the S3 wire-protocol scenarios: serial (one
+// request in flight) vs multiplexed connection disciplines at each
+// worker count, plus the
 // huge-block streamed-transfer probe. The zero value is usable (64 blocks
 // of 1 KiB, 1/16/64 workers, 128 fetches per worker, 65 MiB huge block).
 type WireBenchConfig = experiments.WireBenchConfig
@@ -124,9 +125,9 @@ type WireBenchConfig = experiments.WireBenchConfig
 type WireBenchReport = experiments.WireBenchReport
 
 // RunWireBench measures the wire layer under concurrent load against an
-// in-process server: head-of-line-blocked protocol v1 vs pipelined
-// protocol v2 on one shared connection, and a huge-block retrieval that
-// only the v2 chunked stream can carry.
+// in-process server: head-of-line-blocked serial requests vs pipelined
+// ones on one shared connection, and a huge-block retrieval that only
+// the chunked stream can carry.
 func RunWireBench(ctx context.Context, cfg WireBenchConfig) (*WireBenchReport, error) {
 	return experiments.WireBench(ctx, cfg)
 }
@@ -317,7 +318,7 @@ func CheckDurableBenchReport(r *DurableBenchReport, committed bool) []string {
 // CheckWireBenchReport validates a wire-bench report: exact wire-call
 // arithmetic, the multiplexing speedup floor at 16 workers (3x for the
 // committed reference file), and the huge-block stream probe (≥ 64 MiB
-// committed, unfetchable over protocol v1).
+// committed, streamed in at least two chunks).
 func CheckWireBenchReport(r *WireBenchReport, committed bool) []string {
 	return experiments.CheckWireReport(r, committed)
 }

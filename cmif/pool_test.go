@@ -90,38 +90,64 @@ func TestClientPool(t *testing.T) {
 }
 
 // TestProtocolVersionOptions pins the facade's version controls: a
-// client capped at v1 and a server capped at v1 both end up on the
-// legacy protocol, and everything still works.
+// client capped at v2 and a server capped at v2 both end up on the
+// oldest served protocol, and everything still works.
 func TestProtocolVersionOptions(t *testing.T) {
 	t.Run("client-capped", func(t *testing.T) {
 		addr := startNewsServer(t)
-		c, err := cmif.Dial(context.Background(), addr, cmif.WithProtocolVersion(1))
+		c, err := cmif.Dial(context.Background(), addr, cmif.WithProtocolVersion(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if got := c.ProtocolVersion(); got != 1 {
-			t.Errorf("ProtocolVersion = %d, want 1", got)
+		if got := c.ProtocolVersion(); got != 2 {
+			t.Errorf("ProtocolVersion = %d, want 2", got)
 		}
 		if _, err := c.Document(context.Background(), "news"); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Run("server-capped", func(t *testing.T) {
-		addr := startNewsServer(t, cmif.WithMaxProtocolVersion(1), cmif.WithMaxInFlight(4))
+		addr := startNewsServer(t, cmif.WithMaxProtocolVersion(2), cmif.WithMaxInFlight(4))
 		c, err := cmif.Dial(context.Background(), addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if got := c.ProtocolVersion(); got != 1 {
-			t.Errorf("ProtocolVersion = %d, want 1 (server capped)", got)
+		if got := c.ProtocolVersion(); got != 2 {
+			t.Errorf("ProtocolVersion = %d, want 2 (server capped)", got)
 		}
 		names, err := c.List(context.Background())
 		if err != nil || len(names) != 1 {
 			t.Fatalf("List = %v, %v", names, err)
 		}
 	})
+}
+
+// TestProtocolVersionCapOutOfRange pins that a version cap outside 2..4
+// fails loudly on both sides instead of silently becoming the default:
+// Listen and Serve refuse the server, Dial refuses the client.
+func TestProtocolVersionCapOutOfRange(t *testing.T) {
+	addr := startNewsServer(t)
+	for _, v := range []int{0, 1, 5, 7} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			srv := cmif.NewServer(cmif.WithMaxProtocolVersion(v))
+			if bound, err := srv.Listen("127.0.0.1:0"); err == nil {
+				srv.Close()
+				t.Fatalf("Listen accepted cap %d (bound %s)", v, bound)
+			}
+			srv.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := cmif.Serve(ctx, "127.0.0.1:0", nil, cmif.WithMaxProtocolVersion(v)); err == nil {
+				t.Fatalf("Serve accepted cap %d", v)
+			}
+			if c, err := cmif.Dial(context.Background(), addr, cmif.WithProtocolVersion(v)); err == nil {
+				c.Close()
+				t.Fatalf("Dial accepted cap %d", v)
+			}
+		})
+	}
 }
 
 // TestPooledCancellationSurvives cancels a call on a pooled v2 client

@@ -2,6 +2,7 @@ package cmif
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -23,8 +24,8 @@ type Server struct {
 	// metrics is the registry the server's instruments live in; always
 	// non-nil (private unless WithServerMetrics shared one).
 	metrics *Metrics
-	// initErr holds a durable-recovery failure; Listen and Serve report
-	// it (NewServer keeps its no-error signature).
+	// initErr holds a configuration or durable-recovery failure; Listen
+	// and Serve report it (NewServer keeps its no-error signature).
 	initErr error
 }
 
@@ -120,11 +121,11 @@ func WithSnapshotThreshold(n int64) ServeOption {
 }
 
 // WithMaxProtocolVersion caps the wire protocol version the server
-// negotiates: 1 forces every connection onto the legacy strict
-// request/response protocol, 2 offers the multiplexed protocol without
+// negotiates, from 2 to 4: 2 offers the multiplexed protocol without
 // live documents, 3 adds subscriptions and edit submission, and 4 (the
 // default) adds negotiated frame compression and chunk-deduped block
-// fetches. Older clients are always served at their own version.
+// fetches. Older clients down to protocol v2 are served at their own
+// version. A cap outside 2..4 fails Listen and Serve.
 func WithMaxProtocolVersion(v int) ServeOption {
 	return func(c *serverConfig) { c.maxVersion = v }
 }
@@ -151,18 +152,24 @@ func WithSubscriberQueue(n int) ServeOption {
 }
 
 // NewServer builds a server from functional options. It does not listen
-// yet; call Listen, then Serve (or Close). A WithDataDir recovery failure
+// yet; call Listen, then Serve (or Close). A configuration error — a
+// protocol version cap outside 2..4, or a WithDataDir recovery failure —
 // is deferred: it surfaces from Listen (and Serve), keeping NewServer's
 // signature.
 func NewServer(opts ...ServeOption) *Server {
-	cfg := serverConfig{grace: 5 * time.Second, compression: true}
+	cfg := serverConfig{grace: 5 * time.Second, maxVersion: transport.MaxProtocolVersion, compression: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	s := &Server{grace: cfg.grace}
+	// transport.Server reads a zero cap as "newest"; here only an
+	// explicit option sets it, so zero is out of range like any other.
+	if err := transport.CheckVersionCap(cfg.maxVersion); err != nil {
+		s.initErr = fmt.Errorf("cmif: %w", err)
+	}
 	var reg *transport.Registry
 	switch {
-	case cfg.dataDir != "":
+	case s.initErr == nil && cfg.dataDir != "":
 		log, st, err := durable.Open(cfg.dataDir, durable.Options{
 			Sync:          cfg.syncPolicy,
 			SnapshotBytes: cfg.snapBytes,

@@ -120,8 +120,7 @@ func LoadWireReport(path string) (*WireBenchReport, error) {
 // CheckWireReport validates a wire-bench report. committed enforces the
 // repository's headline claims: the multiplexed path at least 3x the
 // serialized path at 16 workers on one connection, and a ≥ 64 MiB block
-// retrieved through the chunked stream — a transfer protocol v1 cannot
-// perform at all.
+// retrieved through the chunked stream in at least two chunks.
 func CheckWireReport(r *WireBenchReport, committed bool) []string {
 	var v []string
 	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
@@ -153,8 +152,8 @@ func CheckWireReport(r *WireBenchReport, committed bool) []string {
 		}
 	}
 	for _, workers := range r.Config.Workers {
-		if _, ok := rows["serial-v1"][workers]; !ok {
-			fail("missing serial-v1 row at %d workers", workers)
+		if _, ok := rows["serial"][workers]; !ok {
+			fail("missing serial row at %d workers", workers)
 		}
 		if _, ok := rows["mux-v2"][workers]; !ok {
 			fail("missing mux-v2 row at %d workers", workers)
@@ -164,7 +163,7 @@ func CheckWireReport(r *WireBenchReport, committed bool) []string {
 	// The pipelining headline: the committed reference must document the
 	// 3x win at 16 workers; fresh smoke runs on noisy runners only have
 	// to show the mux is not slower.
-	if _, ok := rows["serial-v1"][16]; ok {
+	if _, ok := rows["serial"][16]; ok {
 		minSpeedup := 1.1
 		if committed {
 			minSpeedup = 3.0
@@ -188,9 +187,6 @@ func CheckWireReport(r *WireBenchReport, committed bool) []string {
 	}
 	if r.Huge.Bytes != r.Config.HugeBlockBytes {
 		fail("huge block carried %d bytes, config says %d", r.Huge.Bytes, r.Config.HugeBlockBytes)
-	}
-	if !r.Huge.V1Failed {
-		fail("protocol v1 fetched the huge block; it must be unfetchable without streaming")
 	}
 	if committed && r.Huge.Bytes < 64<<20 {
 		fail("committed huge block is %d bytes; the headline requires ≥ 64 MiB", r.Huge.Bytes)

@@ -14,18 +14,18 @@ import (
 )
 
 // The wire bench measures the transport layer itself under concurrent
-// load: the S3 scenarios cross the two connection disciplines — the
-// serialized protocol-v1 path (one request/response at a time per
-// connection, workers queue on a head-of-line-blocked connection) and
-// the multiplexed protocol-v2 path (pipelined in-flight requests on one
-// connection) — at increasing worker counts, plus a huge-block transfer
-// that only the v2 chunked stream can carry at all.
+// load: the S3 scenarios cross two connection disciplines on the same
+// protocol — serial (one request in flight at a time per connection:
+// workers queue on a head-of-line-blocked connection, the discipline
+// the retired protocol v1 imposed) and mux (pipelined in-flight
+// requests on one connection) — at increasing worker counts, plus a
+// huge-block transfer that only the chunked stream can carry at all.
 
 // WireBenchConfig sizes the S3 scenarios. The zero value is usable:
 // 64 blocks of 1 KiB (attribute-cluster-sized payloads, so the protocol
 // overhead dominates rather than memory bandwidth), 1/16/64 workers,
 // 128 fetches per worker, and a 65 MiB huge block — past the 64 MiB
-// frame limit, so it can only travel through the v2 chunked stream.
+// frame limit, so it can only travel through the chunked stream.
 type WireBenchConfig struct {
 	// Blocks is the corpus size; BlockBytes each payload's size.
 	Blocks     int `json:"blocks"`
@@ -38,8 +38,8 @@ type WireBenchConfig struct {
 	// performs, round-robin over the corpus.
 	FetchesPerWorker int `json:"fetches_per_worker"`
 	// HugeBlockBytes sizes the streamed-transfer probe; a block this big
-	// is registered alongside the corpus and fetched once over each
-	// protocol. Non-positive disables the probe.
+	// is registered alongside the corpus and fetched once. Non-positive
+	// disables the probe.
 	HugeBlockBytes int64 `json:"huge_block_bytes"`
 }
 
@@ -63,7 +63,7 @@ func (c *WireBenchConfig) fillDefaults() {
 
 // WireBenchRow is one (scenario, worker count) measurement.
 type WireBenchRow struct {
-	// Scenario is serial-v1 or mux-v2.
+	// Scenario is serial or mux-v2.
 	Scenario string `json:"scenario"`
 	Workers  int    `json:"workers"`
 	// Fetches is the total number of blocks delivered to callers.
@@ -82,18 +82,13 @@ type WireBenchRow struct {
 type WireHugeResult struct {
 	// Bytes is the block's payload size.
 	Bytes int64 `json:"bytes"`
-	// Chunks is how many stream chunk frames carried it on v2.
+	// Chunks is how many stream chunk frames carried it.
 	Chunks int64 `json:"chunks"`
-	// Seconds and MBPerSec time the v2 streamed retrieval.
+	// Seconds and MBPerSec time the streamed retrieval.
 	Seconds  float64 `json:"seconds"`
 	MBPerSec float64 `json:"mb_per_sec"`
-	// Streamed reports the v2 fetch arrived via the chunked stream.
+	// Streamed reports the fetch arrived via the chunked stream.
 	Streamed bool `json:"streamed"`
-	// V1Failed reports the same fetch failed over protocol v1 — blocks
-	// past the frame limit are unfetchable there — with V1Error saying
-	// how.
-	V1Failed bool   `json:"v1_failed"`
-	V1Error  string `json:"v1_error,omitempty"`
 }
 
 // WireBenchReport is the machine-readable result set cmifbench writes to
@@ -102,7 +97,7 @@ type WireBenchReport struct {
 	Config WireBenchConfig `json:"config"`
 	Env    BenchEnv        `json:"env"`
 	Rows   []WireBenchRow  `json:"rows"`
-	// SpeedupMux16 is throughput(mux-v2) over throughput(serial-v1) at
+	// SpeedupMux16 is throughput(mux-v2) over throughput(serial) at
 	// 16 workers — the headline pipelining win.
 	SpeedupMux16 float64 `json:"speedup_mux_vs_serial_16_workers"`
 	// Huge is the streamed-transfer probe; nil when disabled.
@@ -134,19 +129,15 @@ func (r *WireBenchReport) Table() *Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("mux-v2 over serial-v1 at 16 workers: %.1fx", r.SpeedupMux16),
+		fmt.Sprintf("mux-v2 over serial at 16 workers: %.1fx", r.SpeedupMux16),
 		"expect: pipelining amortizes per-request latency that head-of-line blocking pays in full")
 	if r.Huge != nil {
 		status := "failed"
 		if r.Huge.Streamed {
 			status = fmt.Sprintf("streamed in %d chunks at %.0f MB/s", r.Huge.Chunks, r.Huge.MBPerSec)
 		}
-		v1 := "v1 fetched it (unexpected)"
-		if r.Huge.V1Failed {
-			v1 = "unfetchable over v1, as designed"
-		}
 		t.Notes = append(t.Notes,
-			fmt.Sprintf("huge block (%.0f MiB): %s; %s", float64(r.Huge.Bytes)/(1<<20), status, v1))
+			fmt.Sprintf("huge block (%.0f MiB): %s", float64(r.Huge.Bytes)/(1<<20), status))
 	}
 	return t
 }
@@ -183,7 +174,7 @@ func WireBench(ctx context.Context, cfg WireBenchConfig) (*WireBenchReport, erro
 	defer srv.Close()
 
 	report := &WireBenchReport{Config: cfg, Env: CaptureBenchEnv()}
-	for _, scenario := range []string{"serial-v1", "mux-v2"} {
+	for _, scenario := range []string{"serial", "mux-v2"} {
 		for _, workers := range cfg.Workers {
 			row, err := runWireScenario(ctx, addr, names, cfg, scenario, workers)
 			if err != nil {
@@ -200,7 +191,7 @@ func WireBench(ctx context.Context, cfg WireBenchConfig) (*WireBenchReport, erro
 		}
 		rows[row.Scenario][row.Workers] = row
 	}
-	if serial, ok := rows["serial-v1"][16]; ok && serial.BlocksPerSec > 0 {
+	if serial, ok := rows["serial"][16]; ok && serial.BlocksPerSec > 0 {
 		if mux, ok := rows["mux-v2"][16]; ok {
 			report.SpeedupMux16 = mux.BlocksPerSec / serial.BlocksPerSec
 		}
@@ -217,14 +208,12 @@ func WireBench(ctx context.Context, cfg WireBenchConfig) (*WireBenchReport, erro
 }
 
 // runWireScenario drives one (scenario, workers) cell: all workers share
-// one connection — serialized under v1, pipelined under v2 — and fetch
-// blocks one at a time, round-robin over the corpus.
+// one protocol-v2 connection — serialized by a bench-side lock around
+// each fetch, or pipelined — and fetch blocks one at a time, round-robin
+// over the corpus.
 func runWireScenario(ctx context.Context, addr string, names []string, cfg WireBenchConfig, scenario string, workers int) (WireBenchRow, error) {
 	row := WireBenchRow{Scenario: scenario, Workers: workers}
-	version := 2
-	if scenario == "serial-v1" {
-		version = 1
-	}
+	const version = 2
 	c, err := transport.DialContext(ctx, addr, transport.WithMaxProtocolVersion(version))
 	if err != nil {
 		return row, err
@@ -232,6 +221,15 @@ func runWireScenario(ctx context.Context, addr string, names []string, cfg WireB
 	defer c.Close()
 	if c.Version() != version {
 		return row, fmt.Errorf("negotiated v%d, want v%d", c.Version(), version)
+	}
+	var serial sync.Mutex
+	fetch := func(name string) error {
+		if scenario == "serial" {
+			serial.Lock()
+			defer serial.Unlock()
+		}
+		_, err := c.GetBlock(ctx, name)
+		return err
 	}
 
 	errs := make([]error, workers)
@@ -242,8 +240,7 @@ func runWireScenario(ctx context.Context, addr string, names []string, cfg WireB
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < cfg.FetchesPerWorker; j++ {
-				name := names[(i+j)%len(names)]
-				if _, err := c.GetBlock(ctx, name); err != nil {
+				if err := fetch(names[(i+j)%len(names)]); err != nil {
 					errs[i] = err
 					return
 				}
@@ -267,39 +264,29 @@ func runWireScenario(ctx context.Context, addr string, names []string, cfg WireB
 	return row, nil
 }
 
-// runWireHuge fetches the huge block over v2 (expecting a chunked
-// stream) and over v1 (expecting a clean too-large failure).
+// runWireHuge fetches the huge block, expecting a chunked stream.
 func runWireHuge(ctx context.Context, addr, name string, size int64) (*WireHugeResult, error) {
 	res := &WireHugeResult{Bytes: size}
 
-	c2, err := transport.DialContext(ctx, addr)
+	c, err := transport.DialContext(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
-	defer c2.Close()
+	defer c.Close()
 	start := time.Now()
-	blk, err := c2.GetBlock(ctx, name)
+	blk, err := c.GetBlock(ctx, name)
 	if err != nil {
-		return nil, fmt.Errorf("v2 streamed fetch: %w", err)
+		return nil, fmt.Errorf("streamed fetch: %w", err)
 	}
 	res.Seconds = time.Since(start).Seconds()
 	if int64(len(blk.Payload)) != size {
-		return nil, fmt.Errorf("v2 streamed fetch returned %d of %d bytes", len(blk.Payload), size)
+		return nil, fmt.Errorf("streamed fetch returned %d of %d bytes", len(blk.Payload), size)
 	}
-	res.Chunks = c2.StreamChunks()
+	res.Chunks = c.StreamChunks()
 	res.Streamed = res.Chunks > 0
 	if res.Seconds > 0 {
 		res.MBPerSec = float64(size) / (1 << 20) / res.Seconds
 	}
 
-	c1, err := transport.DialContext(ctx, addr, transport.WithMaxProtocolVersion(1))
-	if err != nil {
-		return nil, err
-	}
-	defer c1.Close()
-	if _, err := c1.GetBlock(ctx, name); err != nil {
-		res.V1Failed = true
-		res.V1Error = err.Error()
-	}
 	return res, nil
 }

@@ -82,22 +82,16 @@ func computeID(m core.Medium, payload []byte) string {
 	h.Write([]byte(m.String()))
 	h.Write([]byte{0})
 	h.Write(payload)
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], h.Sum(sum[:0]))
+	return string(text[:])
 }
 
 // NewBlock builds a block, computing its content address and filling the
 // universal descriptor attributes (bytes, format defaulting by medium).
 func NewBlock(name string, m core.Medium, payload []byte, desc attr.List) *Block {
-	b := &Block{
-		ID:         computeID(m, payload),
-		Name:       name,
-		Medium:     m,
-		Payload:    payload,
-		Descriptor: desc.Clone(),
-	}
-	b.Descriptor.Set(DescBytes, attr.Number(int64(len(payload))))
-	b.Descriptor.SetDefault(DescFormat, attr.ID(defaultFormat(m)))
-	return b
+	return NewBlockAt(computeID(m, payload), name, m, payload, desc)
 }
 
 // NewBlockAt builds a block exactly as NewBlock does but takes the
@@ -114,7 +108,9 @@ func NewBlockAt(id, name string, m core.Medium, payload []byte, desc attr.List) 
 		Descriptor: desc.Clone(),
 	}
 	b.Descriptor.Set(DescBytes, attr.Number(int64(len(payload))))
-	b.Descriptor.SetDefault(DescFormat, attr.ID(defaultFormat(m)))
+	if !b.Descriptor.Has(DescFormat) {
+		b.Descriptor.Set(DescFormat, attr.ID(defaultFormat(m)))
+	}
 	return b
 }
 

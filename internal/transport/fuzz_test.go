@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,9 +18,11 @@ import (
 )
 
 // seedFrames captures the real wire traffic of the transport tests: one
-// encoded frame per protocol exchange the test suite performs, v1 and
-// v2. They seed the fuzz corpus so the fuzzers start from the shapes the
-// protocol actually produces rather than from noise.
+// encoded frame per protocol exchange the test suite performs, in hello
+// framing and in mux framing. The hello-framed seeds include the
+// hello-less requests a protocol-v1 peer sends, which the server must
+// refuse. They seed the fuzz corpus so the fuzzers start from the shapes
+// the protocol actually produces rather than from noise.
 func seedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	blk := media.CaptureAudio("voice.aud", 200, 8000, 440, 2)
@@ -32,51 +35,52 @@ func seedFrames(tb testing.TB) [][]byte {
 	u64 := func(v uint64) []byte { b := make([]byte, 8); binary.BigEndian.PutUint64(b, v); return b }
 
 	var frames [][]byte
-	addV1 := func(op byte, parts ...[]byte) {
+	addHello := func(op byte, parts ...[]byte) {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, op, parts...); err != nil {
+		if err := writeHello(&buf, op, parts...); err != nil {
 			tb.Fatal(err)
 		}
 		frames = append(frames, buf.Bytes())
 	}
-	addV2 := func(op byte, id uint32, parts ...[]byte) {
+	addMux := func(op byte, id uint32, parts ...[]byte) {
 		var buf bytes.Buffer
-		if err := writeFrameV2(&buf, op, id, parts...); err != nil {
+		if err := writeMux(&buf, op, id, parts...); err != nil {
 			tb.Fatal(err)
 		}
 		frames = append(frames, buf.Bytes())
 	}
 
-	// v1 requests and responses, as the test suite exchanges them.
-	addV1(opHello, []byte{protoV2})
-	addV1(opOK, []byte{protoV2}, u16(defaultMaxInFlight))
-	addV1(opGetDoc, []byte("news"), []byte{byte(EncodingText)}, []byte{0})
-	addV1(opGetBlk, []byte("voice.aud"))
-	addV1(opOK, []byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), blk.Payload[:64])
-	addV1(opGetBlks, []byte("anchor.vid"), []byte("voice.aud"), []byte("ghost"))
-	addV1(opOK,
+	// Hello-framed traffic: the negotiation, and the hello-less
+	// requests and responses of a protocol-v1 peer.
+	addHello(opHello, []byte{protoV2})
+	addHello(opOK, []byte{protoV2}, u16(defaultMaxInFlight))
+	addHello(opGetDoc, []byte("news"), []byte{byte(EncodingText)}, []byte{0})
+	addHello(opGetBlk, []byte("voice.aud"))
+	addHello(opOK, []byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), blk.Payload[:64])
+	addHello(opGetBlks, []byte("anchor.vid"), []byte("voice.aud"), []byte("ghost"))
+	addHello(opOK,
 		encodeEntry([]byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), blk.Payload[:32]),
 		[]byte{entryMissing},
 		[]byte{entryDeferred})
-	addV1(opGetDescs, []byte("voice.aud"))
-	addV1(opOK, encodeEntry([]byte(blk.Name), []byte(descText)))
-	addV1(opErrNotFound, []byte(`getblk: no block "ghost"`))
-	addV1(opList)
-	addV1(opGoodbye)
+	addHello(opGetDescs, []byte("voice.aud"))
+	addHello(opOK, encodeEntry([]byte(blk.Name), []byte(descText)))
+	addHello(opErrNotFound, []byte(`getblk: no block "ghost"`))
+	addHello(opList)
+	addHello(opGoodbye)
 
-	// v2 exchanges: pipelined requests, busy rejection, a full stream.
-	addV2(opGetDoc, 1, []byte("news"), []byte{byte(EncodingBinary)}, []byte{1})
-	addV2(opGetBlkStream, 7, []byte("voice.aud"))
-	addV2(opErrBusy, 9, []byte("busy: 32 requests in flight"))
-	addV2(opErrTooLarge, 3, []byte("getblk: block of 67108864 bytes exceeds the frame limit"))
-	addV2(opStreamHdr, 7, []byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), u64(uint64(len(blk.Payload))))
-	addV2(opStreamChunk, 7, u32(0), blk.Payload[:len(blk.Payload)/2])
-	addV2(opStreamChunk, 7, u32(1), blk.Payload[len(blk.Payload)/2:])
-	addV2(opStreamEnd, 7, u32(2))
+	// Mux exchanges: pipelined requests, busy rejection, a full stream.
+	addMux(opGetDoc, 1, []byte("news"), []byte{byte(EncodingBinary)}, []byte{1})
+	addMux(opGetBlkStream, 7, []byte("voice.aud"))
+	addMux(opErrBusy, 9, []byte("busy: 32 requests in flight"))
+	addMux(opErrTooLarge, 3, []byte("getblk: block of 67108864 bytes exceeds the frame limit"))
+	addMux(opStreamHdr, 7, []byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), u64(uint64(len(blk.Payload))))
+	addMux(opStreamChunk, 7, u32(0), blk.Payload[:len(blk.Payload)/2])
+	addMux(opStreamChunk, 7, u32(1), blk.Payload[len(blk.Payload)/2:])
+	addMux(opStreamEnd, 7, u32(2))
 	return frames
 }
 
-// seedStreams builds whole stream transcripts — concatenated v2 frame
+// seedStreams builds whole stream transcripts — concatenated mux frame
 // sequences — for the reassembly fuzzer.
 func seedStreams(tb testing.TB) [][]byte {
 	tb.Helper()
@@ -98,7 +102,7 @@ func seedStreams(tb testing.TB) [][]byte {
 	}
 	w := func(op byte, id uint32, parts ...[]byte) func(*bytes.Buffer) {
 		return func(buf *bytes.Buffer) {
-			if err := writeFrameV2(buf, op, id, parts...); err != nil {
+			if err := writeMux(buf, op, id, parts...); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -130,41 +134,52 @@ func seedStreams(tb testing.TB) [][]byte {
 	}
 }
 
-// FuzzDecodeFrame throws arbitrary bytes at both frame decoders: they
-// must never panic, and anything they accept must survive an
-// encode-decode round trip unchanged.
+// FuzzDecodeFrame throws arbitrary bytes at both frame readers — the
+// hello reader and the mux reader: they must never panic, and anything
+// they accept must survive an encode-decode round trip through the
+// matching writer unchanged.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, frame := range seedFrames(f) {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if v1, err := readFrame(bytes.NewReader(data)); err == nil {
+		if hello, err := readHello(bytes.NewReader(data)); err == nil {
 			var buf bytes.Buffer
-			if err := writeFrame(&buf, v1.op, v1.parts...); err != nil {
-				t.Fatalf("accepted v1 frame does not re-encode: %v", err)
+			if err := writeHello(&buf, hello.op, hello.parts...); err != nil {
+				t.Fatalf("accepted hello frame does not re-encode: %v", err)
+			}
+			again, err := readHello(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("re-encoded hello frame does not decode: %v", err)
+			}
+			if again.op != hello.op || !partsEqual(again.parts, hello.parts) {
+				t.Fatalf("hello round trip changed the frame: %v -> %v", hello, again)
+			}
+		}
+		if mux, err := readFrame(bytes.NewReader(data)); err == nil {
+			var buf bytes.Buffer
+			if err := writeMux(&buf, mux.op, mux.id, mux.parts...); err != nil {
+				t.Fatalf("accepted mux frame does not re-encode: %v", err)
 			}
 			again, err := readFrame(bytes.NewReader(buf.Bytes()))
 			if err != nil {
-				t.Fatalf("re-encoded v1 frame does not decode: %v", err)
+				t.Fatalf("re-encoded mux frame does not decode: %v", err)
 			}
-			if again.op != v1.op || !partsEqual(again.parts, v1.parts) {
-				t.Fatalf("v1 round trip changed the frame: %v -> %v", v1, again)
-			}
-		}
-		if v2, err := readFrameV2(bytes.NewReader(data)); err == nil {
-			var buf bytes.Buffer
-			if err := writeFrameV2(&buf, v2.op, v2.id, v2.parts...); err != nil {
-				t.Fatalf("accepted v2 frame does not re-encode: %v", err)
-			}
-			again, err := readFrameV2(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("re-encoded v2 frame does not decode: %v", err)
-			}
-			if again.op != v2.op || again.id != v2.id || !partsEqual(again.parts, v2.parts) {
-				t.Fatalf("v2 round trip changed the frame: %v -> %v", v2, again)
+			if again.op != mux.op || again.id != mux.id || !partsEqual(again.parts, mux.parts) {
+				t.Fatalf("mux round trip changed the frame: %v -> %v", mux, again)
 			}
 		}
 	})
+}
+
+// writeMux writes one mux frame through a fresh frameSender, as a peer's
+// writer goroutine would.
+func writeMux(w io.Writer, op byte, id uint32, parts ...[]byte) error {
+	s := newFrameSender(w)
+	if _, err := s.send(op, id, parts); err != nil {
+		return err
+	}
+	return s.flush()
 }
 
 func partsEqual(a, b [][]byte) bool {
@@ -179,7 +194,7 @@ func partsEqual(a, b [][]byte) bool {
 	return true
 }
 
-// FuzzReassembleChunks feeds arbitrary v2 frame sequences through the
+// FuzzReassembleChunks feeds arbitrary mux frame sequences through the
 // stream reassembler: it must never panic, never allocate beyond the
 // data actually received, and only ever produce a block whose payload
 // length matches the declared size exactly.
@@ -191,7 +206,7 @@ func FuzzReassembleChunks(f *testing.F) {
 		r := bytes.NewReader(data)
 		var asm chunkAssembler
 		for {
-			frm, err := readFrameV2(r)
+			frm, err := readFrame(r)
 			if err != nil {
 				return
 			}
@@ -205,7 +220,7 @@ func FuzzReassembleChunks(f *testing.F) {
 					return
 				}
 			case opStreamEnd:
-				blk, err := asm.finish(frm.parts)
+				blk, err := asm.finish(frm.parts, nil)
 				if err == nil && int64(len(blk.Payload)) != asm.size {
 					t.Fatalf("reassembled %d bytes, header declared %d", len(blk.Payload), asm.size)
 				}
@@ -239,7 +254,7 @@ func seedChangeFrames(tb testing.TB) [][]byte {
 	var frames [][]byte
 	add := func(id uint32, parts ...[]byte) {
 		var buf bytes.Buffer
-		if err := writeFrameV2(&buf, opChange, id, parts...); err != nil {
+		if err := writeMux(&buf, opChange, id, parts...); err != nil {
 			tb.Fatal(err)
 		}
 		frames = append(frames, buf.Bytes())
@@ -264,7 +279,7 @@ func seedChangeFrames(tb testing.TB) [][]byte {
 }
 
 // FuzzDecodeChangeFrame drives arbitrary bytes through the full
-// subscription receive path — v2 frame decode, then the opChange event
+// subscription receive path — mux frame decode, then the opChange event
 // decoder: it must never panic, and any delta it accepts must carry
 // records that survive an encode-decode round trip unchanged.
 func FuzzDecodeChangeFrame(f *testing.F) {
@@ -272,7 +287,7 @@ func FuzzDecodeChangeFrame(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frm, err := readFrameV2(bytes.NewReader(data))
+		frm, err := readFrame(bytes.NewReader(data))
 		if err != nil || frm.op != opChange {
 			return
 		}
@@ -356,7 +371,7 @@ func seedCompressedFrames(tb testing.TB) [][]byte {
 	return frames
 }
 
-// FuzzDecodeCompressedFrame drives arbitrary bytes through the v2 frame
+// FuzzDecodeCompressedFrame drives arbitrary bytes through the mux frame
 // decoder's opCompressed path: it must never panic, never inflate past
 // the declared length, and anything it accepts must survive a re-encode
 // through the compressing frameSender and decode back identical.
@@ -365,7 +380,7 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frm, err := readFrameV2(bytes.NewReader(data))
+		frm, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -381,7 +396,7 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 		if err := s.flush(); err != nil {
 			t.Fatal(err)
 		}
-		again, err := readFrameV2(bytes.NewReader(buf.Bytes()))
+		again, err := readFrame(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}

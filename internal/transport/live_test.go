@@ -371,7 +371,7 @@ func TestSubscriberTeardownLeakFree(t *testing.T) {
 }
 
 // TestV3OpsRequireV3 pins the compatibility contract of the live ops:
-// on any connection negotiated below protocol v3 — an old server, or a
+// on a connection negotiated at protocol v2 — an old server, or a
 // client that capped itself — SubscribeDoc and SubmitEdit fail locally
 // with ErrUnsupported, no frame reaches the wire, and the connection
 // keeps serving everything the negotiated version does speak.
@@ -382,9 +382,7 @@ func TestV3OpsRequireV3(t *testing.T) {
 		clientMax, serverMax int
 		want                 int
 	}{
-		{"v3-client-v1-server", 3, 1, 1},
 		{"v3-client-v2-server", 3, 2, 2},
-		{"v1-client-v3-server", 1, 3, 1},
 		{"v2-client-v3-server", 2, 3, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

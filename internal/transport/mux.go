@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/media"
 )
@@ -21,13 +22,11 @@ import (
 var ErrBusy = errors.New("transport: server busy")
 
 // errTooLarge is the internal marker for opErrTooLarge responses: the
-// block exists but cannot travel as one frame. The v2 client reacts by
-// retrying with the chunked stream op; it never escapes to callers there.
-// A v1 client surfaces it as a plain remote error — under protocol v1
-// oversized blocks are unfetchable.
+// block exists but cannot travel as one frame. The client reacts by
+// retrying with the chunked stream op; it never escapes to callers.
 var errTooLarge = errors.New("transport: block too large for a single frame")
 
-// clientMux multiplexes pipelined requests over one v2 connection: a
+// clientMux multiplexes pipelined requests over one connection: a
 // writer goroutine serializes frame writes (coalescing bursts through a
 // buffered writer), a reader goroutine demultiplexes response frames to
 // per-request channels by request ID, and per-request contexts cancel
@@ -39,7 +38,7 @@ type clientMux struct {
 	// writeCh feeds the writer goroutine; sem bounds the requests in
 	// flight to what the server advertised at hello, so well-behaved
 	// clients queue locally instead of triggering opErrBusy.
-	writeCh chan frameV2
+	writeCh chan frame
 	sem     chan struct{}
 
 	// sent/recvd/chunks point into the owning Client's traffic counters.
@@ -56,7 +55,13 @@ type clientMux struct {
 	pending map[uint32]*muxCall
 	nextID  uint32
 	err     error // terminal connection error, set once before closing dead
+	// ended is set once the reader has exited and closed every pending
+	// call's channel; no call registers after it.
+	ended bool
 
+	// bye is closed by close: the writer then says goodbye instead of
+	// writing any further request.
+	bye       chan struct{}
 	dead      chan struct{} // closed when either goroutine dies
 	deadOnce  sync.Once
 	closeOnce sync.Once
@@ -65,8 +70,15 @@ type clientMux struct {
 
 // muxCall is one in-flight request's delivery state.
 type muxCall struct {
-	ch   chan frameV2  // response frames for this request ID
-	gone chan struct{} // closed when the caller abandons the call
+	// ch carries the response frames for this request ID. The reader
+	// closes it when the connection dies, so a caller waits on ch alone
+	// instead of also on the connection-wide dead channel every other
+	// caller shares.
+	ch chan frame
+	// gone is closed when the caller ends the call. A single-response
+	// call has none: its one frame always fits in ch, so the reader
+	// never waits on it.
+	gone chan struct{}
 	// detached marks a call that released its in-flight slot early (a
 	// long-lived subscription); finish must not release it again.
 	// Guarded by the mux mutex.
@@ -83,7 +95,7 @@ func newClientMux(conn net.Conn, maxInFlight int, sent, recvd, chunks *atomic.In
 	}
 	m := &clientMux{
 		conn:       conn,
-		writeCh:    make(chan frameV2, maxInFlight),
+		writeCh:    make(chan frame, maxInFlight),
 		sem:        make(chan struct{}, maxInFlight),
 		sent:       sent,
 		recvd:      recvd,
@@ -91,6 +103,7 @@ func newClientMux(conn net.Conn, maxInFlight int, sent, recvd, chunks *atomic.In
 		compress:   compress,
 		onCompress: onCompress,
 		pending:    make(map[uint32]*muxCall),
+		bye:        make(chan struct{}),
 		dead:       make(chan struct{}),
 	}
 	m.wg.Add(2)
@@ -121,19 +134,21 @@ func (m *clientMux) deadErr() error {
 	return m.err
 }
 
-// close shuts the mux down: a goodbye frame on a healthy connection, then
-// the socket closes and both goroutines exit.
+// errClientClosed ends a mux the client closed itself.
+var errClientClosed = errors.New("client closed")
+
+// closeTimeout bounds how long close waits for the goodbye to leave: a
+// write stuck on a peer that stopped reading fails at this deadline.
+const closeTimeout = time.Second
+
+// close shuts the mux down. Requests already handed to the writer go
+// out; those still queued are dropped — the writer says goodbye ahead
+// of them and ends the connection, failing every pending call with
+// "client closed". Then both goroutines exit.
 func (m *clientMux) close() error {
 	m.closeOnce.Do(func() {
-		select {
-		case <-m.dead:
-		default:
-			// Best-effort goodbye straight on the conn: the writer may be
-			// blocked, and interleaving with a concurrent request merely
-			// ends a connection that is closing anyway.
-			_ = writeFrameV2(m.conn, opGoodbye, 0)
-		}
-		m.fail(errors.New("client closed"))
+		close(m.bye)
+		_ = m.conn.SetWriteDeadline(time.Now().Add(closeTimeout))
 	})
 	m.wg.Wait()
 	return nil
@@ -151,9 +166,10 @@ func (m *clientMux) writeLoop() {
 	sender.compress = m.compress
 	sender.onCompress = m.onCompress
 	for {
-		var f frameV2
+		var f frame
 		select {
 		case f = <-m.writeCh:
+		case <-m.bye:
 		case <-m.dead:
 			return
 		default:
@@ -162,6 +178,7 @@ func (m *clientMux) writeLoop() {
 			runtime.Gosched()
 			select {
 			case f = <-m.writeCh:
+			case <-m.bye:
 			case <-m.dead:
 				return
 			default:
@@ -171,12 +188,25 @@ func (m *clientMux) writeLoop() {
 				}
 				select {
 				case f = <-m.writeCh:
+				case <-m.bye:
 				case <-m.dead:
 					return
 				}
 			}
 		}
+		select {
+		case <-m.bye:
+			// Closing: nothing but the goodbye goes out from here on.
+			f = frame{op: opGoodbye}
+		default:
+		}
 		n, err := sender.send(f.op, f.id, f.parts)
+		if err == nil && f.op == opGoodbye {
+			err = sender.flush()
+			if err == nil {
+				err = errClientClosed
+			}
+		}
 		if err != nil {
 			m.fail(err)
 			return
@@ -204,9 +234,10 @@ func (cr *countReader) Read(p []byte) (int, error) {
 // abandoned call — is dropped; the connection itself stays healthy.
 func (m *clientMux) readLoop() {
 	defer m.wg.Done()
+	defer m.endCalls()
 	br := bufio.NewReaderSize(&countReader{r: m.conn, n: m.recvd}, muxBufSize)
 	for {
-		f, err := readFrameV2(br)
+		f, err := readFrame(br)
 		if err != nil {
 			m.fail(err)
 			return
@@ -217,12 +248,31 @@ func (m *clientMux) readLoop() {
 		if call == nil {
 			continue
 		}
+		if call.gone == nil {
+			select {
+			case call.ch <- f:
+			default: // a second frame for a single-response call
+			}
+			continue
+		}
 		select {
 		case call.ch <- f:
 		case <-call.gone:
 		case <-m.dead:
 			return
 		}
+	}
+}
+
+// endCalls runs as the reader exits, after the connection died: the
+// reader was the only sender on the pending calls' channels, so closing
+// them now wakes every waiting caller with the connection's fate.
+func (m *clientMux) endCalls() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.ended = true
+	for _, call := range m.pending {
+		close(call.ch)
 	}
 }
 
@@ -236,9 +286,15 @@ func (m *clientMux) begin(ctx context.Context, op byte, parts [][]byte) (uint32,
 	return m.beginBuf(ctx, op, parts, 4)
 }
 
+// beginSingle is begin for a request answered by exactly one frame.
+func (m *clientMux) beginSingle(ctx context.Context, op byte, parts [][]byte) (uint32, *muxCall, error) {
+	return m.beginBuf(ctx, op, parts, 0)
+}
+
 // beginBuf is begin with a caller-chosen response buffer: long-lived
 // subscription calls want a deeper channel so the reader never parks on
-// a consumer that is between Recv calls.
+// a consumer that is between Recv calls. A zero bufCap makes a
+// single-response call.
 func (m *clientMux) beginBuf(ctx context.Context, op byte, parts [][]byte, bufCap int) (uint32, *muxCall, error) {
 	select {
 	case m.sem <- struct{}{}:
@@ -247,17 +303,22 @@ func (m *clientMux) beginBuf(ctx context.Context, op byte, parts [][]byte, bufCa
 	case <-m.dead:
 		return 0, nil, m.deadErr()
 	}
-	call := &muxCall{
-		ch:   make(chan frameV2, bufCap),
-		gone: make(chan struct{}),
+	call := &muxCall{ch: make(chan frame, max(bufCap, 1))}
+	if bufCap > 0 {
+		call.gone = make(chan struct{})
 	}
 	m.mu.Lock()
+	if m.ended {
+		m.mu.Unlock()
+		<-m.sem
+		return 0, nil, m.deadErr()
+	}
 	m.nextID++
 	id := m.nextID
 	m.pending[id] = call
 	m.mu.Unlock()
 	select {
-	case m.writeCh <- frameV2{op: op, id: id, parts: parts}:
+	case m.writeCh <- frame{op: op, id: id, parts: parts}:
 		return id, call, nil
 	case <-ctx.Done():
 		m.finish(id, call)
@@ -275,7 +336,9 @@ func (m *clientMux) finish(id uint32, call *muxCall) {
 	delete(m.pending, id)
 	detached := call.detached
 	m.mu.Unlock()
-	close(call.gone)
+	if call.gone != nil {
+		close(call.gone)
+	}
 	if !detached {
 		<-m.sem
 	}
@@ -304,47 +367,45 @@ func (m *clientMux) detach(call *muxCall) {
 // accounting in step.
 func (m *clientMux) abandon(id uint32, call *muxCall) {
 	go func() {
-		for {
-			select {
-			case f := <-call.ch:
-				switch f.op {
-				case opStreamHdr, opStreamChunk:
-					// Mid-stream frames; the terminal one follows.
-				default:
-					m.finish(id, call)
-					return
-				}
-			case <-m.dead:
-				m.finish(id, call)
+		defer m.finish(id, call)
+		for f := range call.ch {
+			switch f.op {
+			case opStreamHdr, opStreamChunk:
+				// Mid-stream frames; the terminal one follows.
+			default:
 				return
 			}
 		}
 	}()
 }
 
-// recv waits for the call's next response frame.
-func (m *clientMux) recv(ctx context.Context, call *muxCall) (frameV2, error) {
+// recv waits for the call's next response frame. Frames that arrived
+// before the connection died are still delivered; after them, the
+// closed channel reports the connection's fate.
+func (m *clientMux) recv(ctx context.Context, call *muxCall) (frame, error) {
 	select {
-	case f := <-call.ch:
+	case f, ok := <-call.ch:
+		if !ok {
+			return frame{}, m.deadErr()
+		}
 		return f, nil
 	case <-ctx.Done():
-		return frameV2{}, ctx.Err()
-	case <-m.dead:
-		return frameV2{}, m.deadErr()
+		return frame{}, ctx.Err()
 	}
 }
 
-// roundTrip performs one single-response exchange over the mux. Unlike
-// the v1 path, cancellation abandons only this request: the connection
-// and every other in-flight call on it stay healthy.
-func (c *Client) muxRoundTrip(ctx context.Context, op byte, parts ...[]byte) ([][]byte, error) {
+// roundTrip performs one single-response exchange over the mux. The
+// context's deadline (or, absent one, c.Timeout) bounds the exchange;
+// cancellation abandons only this request: the connection and every
+// other in-flight call on it stay healthy.
+func (c *Client) roundTrip(ctx context.Context, op byte, parts ...[]byte) ([][]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ctx, cancel := c.withTimeout(ctx)
 	defer cancel()
 	m := c.mux
-	id, call, err := m.begin(ctx, op, parts)
+	id, call, err := m.beginSingle(ctx, op, parts)
 	if err != nil {
 		return nil, err
 	}
@@ -359,24 +420,24 @@ func (c *Client) muxRoundTrip(ctx context.Context, op byte, parts ...[]byte) ([]
 }
 
 // muxResponse maps a terminal response frame to parts or a typed error.
-func muxResponse(f frameV2) ([][]byte, error) {
+func muxResponse(f frame) ([][]byte, error) {
 	switch f.op {
 	case opOK:
 		return f.parts, nil
 	case opErrNotFound:
-		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotFound, errTextV2(f))
+		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotFound, errText(f))
 	case opErrBusy:
-		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrBusy, errTextV2(f))
+		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrBusy, errText(f))
 	case opErrTooLarge:
-		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, errTooLarge, errTextV2(f))
+		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, errTooLarge, errText(f))
 	case opErr:
-		return nil, fmt.Errorf("%w: %s", ErrRemote, errTextV2(f))
+		return nil, fmt.Errorf("%w: %s", ErrRemote, errText(f))
 	default:
 		return nil, fmt.Errorf("transport: unexpected response op %d", f.op)
 	}
 }
 
-func errTextV2(f frameV2) string {
+func errText(f frame) string {
 	if len(f.parts) > 0 {
 		return string(f.parts[0])
 	}
@@ -418,7 +479,7 @@ func (c *Client) getBlockStream(ctx context.Context, name string) (*media.Block,
 			}
 			c.streamChunks.Add(1)
 		case opStreamEnd:
-			blk, err := asm.finish(f.parts)
+			blk, err := asm.finish(f.parts, &c.descs)
 			m.finish(id, call)
 			if err == nil {
 				c.seedChunks(blk.Payload)

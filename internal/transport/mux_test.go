@@ -7,9 +7,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,41 +71,46 @@ func exerciseClient(t *testing.T, c *Client, wantVersion int) {
 }
 
 // TestVersionNegotiationMatrix runs the full client workout across every
-// protocol pairing — v1, v2 and v3 caps on either side — verifying each
+// protocol pairing — v2, v3 and v4 caps on either side — verifying each
 // pair lands on min(clientMax, serverMax) and every classic operation
-// works there.
+// works there. A v1 cap on either side is refused loudly: the client at
+// Dial, the server at Listen.
 func TestVersionNegotiationMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		clientMax, serverMax, want int
-	}{
-		{1, 1, 1},
-		{1, 2, 1},
-		{2, 1, 1},
-		{2, 2, 2},
-		{1, 3, 1},
-		{3, 1, 1},
-		{2, 3, 2},
-		{3, 2, 2},
-		{3, 3, 3},
-	} {
-		t.Run(fmt.Sprintf("client%d-server%d", tc.clientMax, tc.serverMax), func(t *testing.T) {
-			d, store := fixture(t)
-			reg := NewRegistry(store)
-			reg.PutDoc("news", d)
-			srv := NewServer(reg)
-			srv.MaxVersion = tc.serverMax
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			c, err := Dial(addr, WithMaxProtocolVersion(tc.clientMax))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			exerciseClient(t, c, tc.want)
-		})
+	for clientMax := 1; clientMax <= MaxProtocolVersion; clientMax++ {
+		for serverMax := 1; serverMax <= MaxProtocolVersion; serverMax++ {
+			t.Run(fmt.Sprintf("client%d-server%d", clientMax, serverMax), func(t *testing.T) {
+				d, store := fixture(t)
+				reg := NewRegistry(store)
+				reg.PutDoc("news", d)
+				srv := NewServer(reg)
+				srv.MaxVersion = serverMax
+				addr, err := srv.Listen("127.0.0.1:0")
+				if serverMax < protoV2 {
+					if err == nil {
+						srv.Close()
+						t.Fatalf("Listen accepted a v%d cap", serverMax)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				c, err := Dial(addr, WithMaxProtocolVersion(clientMax))
+				if clientMax < protoV2 {
+					if err == nil {
+						c.Close()
+						t.Fatalf("Dial accepted a v%d cap", clientMax)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				exerciseClient(t, c, min(clientMax, serverMax))
+			})
+		}
 	}
 }
 
@@ -130,51 +137,70 @@ func rawServer(t *testing.T, script func(conn net.Conn, br *bufio.Reader)) strin
 // ackHello consumes the client's hello and answers a v2 agreement.
 func ackHello(t *testing.T, conn net.Conn, br *bufio.Reader, maxInFlight uint16) bool {
 	t.Helper()
-	req, err := readFrame(br)
+	req, err := readHello(br)
 	if err != nil || req.op != opHello {
 		t.Errorf("first frame op = %v, err = %v, want hello", req.op, err)
 		return false
 	}
-	ad := make([]byte, 2)
-	binary.BigEndian.PutUint16(ad, maxInFlight)
-	if err := writeFrame(conn, opOK, []byte{protoV2}, ad); err != nil {
+	ad := binary.BigEndian.AppendUint16(nil, maxInFlight)
+	if err := writeHello(conn, opOK, []byte{protoV2}, ad); err != nil {
 		t.Errorf("hello ack: %v", err)
 		return false
 	}
 	return true
 }
 
-// TestHelloFallbackOnOldServer verifies the degradation path against a
-// genuine protocol-v1 server, emulated by answering the hello the way an
-// old build does: opErr "unknown op 9". The client must settle on v1 and
-// keep working over the same connection.
-func TestHelloFallbackOnOldServer(t *testing.T) {
+// TestDialRefusesPreV2Server dials a server that answers the hello the
+// way a build predating protocol v2 does — opErr "unknown op 9" — and
+// then goes silent: Dial must fail promptly with ErrUnsupported instead
+// of downgrading or hanging.
+func TestDialRefusesPreV2Server(t *testing.T) {
 	addr := rawServer(t, func(conn net.Conn, br *bufio.Reader) {
-		req, err := readFrame(br)
+		req, err := readHello(br)
 		if err != nil || req.op != opHello {
 			t.Errorf("first frame op = %v, err = %v, want hello", req.op, err)
 			return
 		}
-		_ = writeFrame(conn, opErr, []byte("unknown op 9"))
-		// The connection continues in v1: serve one list request.
-		req, err = readFrame(br)
-		if err != nil || req.op != opList {
-			t.Errorf("second frame op = %v, err = %v, want list", req.op, err)
-			return
-		}
-		_ = writeFrame(conn, opOK, []byte("legacy"))
+		_ = writeHello(conn, opErr, []byte("unknown op 9"))
+		// Hold the connection open: the client must not wait on it.
+		_, _ = br.ReadByte()
 	})
-	c, err := Dial(addr)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c, err := DialContext(ctx, addr)
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a server that predates protocol v2")
+	}
+	if !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("Dial = %v, want ErrUnsupported", err)
+	}
+}
+
+// TestHelloLessFirstFrameRefused speaks to a real server the way a
+// protocol-v1 client does — a request with no hello first: the server
+// answers exactly one opErr frame in hello framing, then hangs up.
+func TestHelloLessFirstFrameRefused(t *testing.T) {
+	addr, _ := startServer(t, NewRegistry(nil))
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.Version() != protoV1 {
-		t.Fatalf("version after fallback = %d, want 1", c.Version())
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeHello(conn, opList); err != nil {
+		t.Fatal(err)
 	}
-	names, err := c.ListDocs(context.Background())
-	if err != nil || len(names) != 1 || names[0] != "legacy" {
-		t.Fatalf("ListDocs over fallback connection = %v, %v", names, err)
+	br := bufio.NewReader(conn)
+	resp, err := readHello(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.op != opErr || len(resp.parts) != 1 || !bytes.Contains(resp.parts[0], []byte("v1")) {
+		t.Fatalf("response op %d parts %q, want one opErr naming protocol v1", resp.op, resp.parts)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("after the refusal: %v, want EOF", err)
 	}
 }
 
@@ -220,15 +246,15 @@ func TestMuxUnknownRequestIDDropped(t *testing.T) {
 		if !ackHello(t, conn, br, 8) {
 			return
 		}
-		req, err := readFrameV2(br)
+		req, err := readFrame(br)
 		if err != nil {
 			t.Errorf("read request: %v", err)
 			return
 		}
 		// A response for a request that never existed...
-		_ = writeFrameV2(conn, opOK, req.id+1000, []byte("bogus"))
+		_ = writeMux(conn, opOK, req.id+1000, []byte("bogus"))
 		// ...then the real answer.
-		_ = writeFrameV2(conn, opOK, req.id, []byte("doc-a"))
+		_ = writeMux(conn, opOK, req.id, []byte("doc-a"))
 	})
 	c, err := Dial(addr)
 	if err != nil {
@@ -248,9 +274,9 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 		if !ackHello(t, conn, br, 8) {
 			return
 		}
-		var reqs []frameV2
+		var reqs []frame
 		for len(reqs) < 2 {
-			req, err := readFrameV2(br)
+			req, err := readFrame(br)
 			if err != nil {
 				t.Errorf("read request: %v", err)
 				return
@@ -259,7 +285,7 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 		}
 		// Answer in reverse arrival order, echoing each request's name.
 		for i := len(reqs) - 1; i >= 0; i-- {
-			_ = writeFrameV2(conn, opOK, reqs[i].id, []byte("for:"+string(reqs[i].parts[0])))
+			_ = writeMux(conn, opOK, reqs[i].id, []byte("for:"+string(reqs[i].parts[0])))
 		}
 	})
 	c, err := Dial(addr)
@@ -317,7 +343,7 @@ func TestMuxBackpressureBusy(t *testing.T) {
 	}
 	t.Cleanup(func() { once.Do(func() { close(release) }); srv.Close() })
 
-	// Speak raw v2 frames so the client-side in-flight bound (sized to
+	// Speak raw mux frames so the client-side in-flight bound (sized to
 	// the advertised limit) cannot queue the second request locally.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -325,21 +351,21 @@ func TestMuxBackpressureBusy(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	if err := writeFrame(conn, opHello, []byte{protoV2}); err != nil {
+	if err := writeHello(conn, opHello, []byte{protoV2}); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := readFrame(br)
+	ack, err := readHello(br)
 	if err != nil || ack.op != opOK {
 		t.Fatalf("hello ack = %v, %v", ack.op, err)
 	}
 	// Request 1 occupies the single slot; request 2 must bounce.
-	if err := writeFrameV2(conn, opGetDoc, 1, []byte("news"), []byte{byte(EncodingText)}, []byte{0}); err != nil {
+	if err := writeMux(conn, opGetDoc, 1, []byte("news"), []byte{byte(EncodingText)}, []byte{0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrameV2(conn, opGetDoc, 2, []byte("news"), []byte{byte(EncodingText)}, []byte{0}); err != nil {
+	if err := writeMux(conn, opGetDoc, 2, []byte("news"), []byte{byte(EncodingText)}, []byte{0}); err != nil {
 		t.Fatal(err)
 	}
-	busy, err := readFrameV2(br)
+	busy, err := readFrame(br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +373,7 @@ func TestMuxBackpressureBusy(t *testing.T) {
 		t.Fatalf("first response op=%d id=%d, want opErrBusy for id 2", busy.op, busy.id)
 	}
 	once.Do(func() { close(release) })
-	ok, err := readFrameV2(br)
+	ok, err := readFrame(br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,11 +389,11 @@ func TestMuxBusySurfacesAsTypedError(t *testing.T) {
 		if !ackHello(t, conn, br, 8) {
 			return
 		}
-		req, err := readFrameV2(br)
+		req, err := readFrame(br)
 		if err != nil {
 			return
 		}
-		_ = writeFrameV2(conn, opErrBusy, req.id, []byte("busy: 0 requests in flight"))
+		_ = writeMux(conn, opErrBusy, req.id, []byte("busy: 0 requests in flight"))
 	})
 	c, err := Dial(addr)
 	if err != nil {
@@ -400,11 +426,11 @@ func TestStreamedBlockTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Version() != maxProtoVersion {
+	if c.Version() != MaxProtocolVersion {
 		t.Fatalf("version = %d", c.Version())
 	}
 
-	// The batched path defers the big block and re-fetches it; on v2 the
+	// The batched path defers the big block and re-fetches it; the
 	// re-fetch streams in chunks.
 	blocks, err := c.GetBlocks(context.Background(), []string{"big.img", "small.img"})
 	if err != nil {
@@ -426,9 +452,9 @@ func TestStreamedBlockTransfer(t *testing.T) {
 	}
 }
 
-// TestBatchDeferralBothVersions pins the deferred-entry re-fetch on each
-// protocol: entryDeferred resolves through single-item opGetBlk under
-// v1 and through the chunked stream under v2, with identical results.
+// TestBatchDeferralBothVersions pins the deferred-entry re-fetch at the
+// oldest and newest protocol: entryDeferred resolves through the
+// chunked stream on both, with identical results.
 func TestBatchDeferralBothVersions(t *testing.T) {
 	oldChunk, oldBudget := streamChunkSize, batchBudget
 	streamChunkSize, batchBudget = 1<<10, 1<<11
@@ -441,7 +467,7 @@ func TestBatchDeferralBothVersions(t *testing.T) {
 	reg := NewRegistry(store)
 	addr, _ := startServer(t, reg)
 
-	for _, version := range []int{1, 2} {
+	for _, version := range []int{protoV2, protoV4} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			c, err := Dial(addr, WithMaxProtocolVersion(version))
 			if err != nil {
@@ -459,13 +485,12 @@ func TestBatchDeferralBothVersions(t *testing.T) {
 				t.Error("inlined entry missing")
 			}
 			// The deferred re-fetch costs one extra round trip on top of
-			// the batch either way.
+			// the batch.
 			if got := c.RoundTrips(); got != 2 {
 				t.Errorf("RoundTrips = %d, want 2", got)
 			}
-			wantStreamed := version == 2
-			if streamed := c.StreamChunks() > 0; streamed != wantStreamed {
-				t.Errorf("streamed = %v, want %v on v%d", streamed, wantStreamed, version)
+			if c.StreamChunks() == 0 {
+				t.Errorf("deferred entry did not stream on v%d", version)
 			}
 		})
 	}
@@ -473,8 +498,8 @@ func TestBatchDeferralBothVersions(t *testing.T) {
 
 // TestOversizedBlockAnswersTooLarge pins the behaviour the stream exists
 // to fix: a block past the single-frame limit answers opErrTooLarge —
-// the clean error v1 clients see, and the retry trigger for the v2
-// stream — instead of the server dying on the response write.
+// the retry trigger for the chunked stream — instead of the server
+// dying on the response write.
 func TestOversizedBlockAnswersTooLarge(t *testing.T) {
 	store := media.NewStore()
 	store.Put(media.CaptureImage("small.img", 8, 8, 7))
@@ -482,11 +507,11 @@ func TestOversizedBlockAnswersTooLarge(t *testing.T) {
 	reg := NewRegistry(store)
 	srv := NewServer(reg)
 
-	resp, parts := srv.handle(frame{op: opGetBlk, parts: [][]byte{[]byte("small.img")}})
+	resp, parts := srv.handle(opGetBlk, [][]byte{[]byte("small.img")})
 	if resp != opOK {
 		t.Fatalf("in-budget block: op %d (%s)", resp, parts[0])
 	}
-	resp, parts = srv.handle(frame{op: opGetBlk, parts: [][]byte{[]byte("huge.raw")}})
+	resp, parts = srv.handle(opGetBlk, [][]byte{[]byte("huge.raw")})
 	if resp != opErrTooLarge || len(parts) == 0 {
 		t.Fatalf("oversized block: op %d, want opErrTooLarge", resp)
 	}
@@ -500,7 +525,7 @@ func streamScript(t *testing.T, frames func(id uint32) [][]interface{}) string {
 			return
 		}
 		for {
-			req, err := readFrameV2(br)
+			req, err := readFrame(br)
 			if err != nil {
 				return
 			}
@@ -510,7 +535,7 @@ func streamScript(t *testing.T, frames func(id uint32) [][]interface{}) string {
 				for _, p := range f[1:] {
 					parts = append(parts, p.([]byte))
 				}
-				if err := writeFrameV2(conn, op, req.id, parts...); err != nil {
+				if err := writeMux(conn, op, req.id, parts...); err != nil {
 					return
 				}
 			}
@@ -628,7 +653,7 @@ func TestStreamProtocolViolations(t *testing.T) {
 
 // TestMuxCancellationDoesNotPoisonConnection cancels one pipelined
 // request mid-flight; the other request and every later one must keep
-// working on the same connection — the v2 cure for the v1 poisoning.
+// working on the same connection.
 func TestMuxCancellationDoesNotPoisonConnection(t *testing.T) {
 	d, store := fixture(t)
 	reg := NewRegistry(store)
@@ -669,7 +694,7 @@ func TestMuxCancellationDoesNotPoisonConnection(t *testing.T) {
 	}
 }
 
-// TestMuxPipelinedConcurrency hammers one v2 connection from many
+// TestMuxPipelinedConcurrency hammers one connection from many
 // goroutines mixing ops — the shape the -race job verifies.
 func TestMuxPipelinedConcurrency(t *testing.T) {
 	d, store := fixture(t)
@@ -720,7 +745,7 @@ func TestMuxPipelinedConcurrency(t *testing.T) {
 	}
 }
 
-// TestV2GracefulDrainAnswersInFlight shuts the server down while a v2
+// TestV2GracefulDrainAnswersInFlight shuts the server down while a
 // request is stalled in a handler: the response must still arrive.
 func TestV2GracefulDrainAnswersInFlight(t *testing.T) {
 	d, store := fixture(t)
@@ -760,61 +785,55 @@ func TestV2GracefulDrainAnswersInFlight(t *testing.T) {
 	}
 }
 
-// TestV1BenignCancellationSurvives is the regression test for the v1
-// poisoning bug: an exchange that died before a single byte moved — the
-// forced deadline beat the write — leaves the connection frame-aligned,
-// so a pooled connection survives and the next call succeeds.
-func TestV1BenignCancellationSurvives(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
-	t.Cleanup(func() { clientSide.Close(); serverSide.Close() })
-	c := &Client{conn: clientSide, version: protoV1}
+// TestCloseDropsUnwrittenRequests pins Close's contract: a request the
+// writer already took goes out, requests still queued behind it are
+// dropped — only the goodbye follows — and every pending call fails.
+func TestCloseDropsUnwrittenRequests(t *testing.T) {
+	cli, peer := net.Pipe()
+	defer peer.Close()
+	var sent, recvd, chunks atomic.Int64
+	m := newClientMux(cli, 4, &sent, &recvd, &chunks, false, nil)
+	ctx := context.Background()
 
-	// No reader on the server side: the pipe write blocks until the
-	// context deadline interrupts it with zero bytes moved.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	_, err := c.roundTrip(ctx, opList)
-	// The connection deadline mirrors the context deadline, so whichever
-	// timer fires first shapes the error; both mean "timed out".
-	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("blocked write error = %v, want a deadline error", err)
-	}
-
-	// Now a server appears; the connection must still be usable.
-	go func() {
-		br := bufio.NewReader(serverSide)
-		req, err := readFrame(br)
-		if err != nil || req.op != opList {
-			return
+	// The first request is past the vectored threshold, so the writer
+	// blocks in its writev until the peer reads (net.Pipe is
+	// unbuffered); the next two queue behind it.
+	var calls []*muxCall
+	for i, part := range [][]byte{make([]byte, vectoredThreshold+1), []byte("b"), []byte("c")} {
+		_, call, err := m.beginSingle(ctx, opPutBlk, [][]byte{part})
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
-		_ = writeFrame(serverSide, opOK, []byte("alive"))
-	}()
-	names, err := c.ListDocs(context.Background())
-	if err != nil || len(names) != 1 || names[0] != "alive" {
-		t.Fatalf("post-cancellation call = %v, %v (connection poisoned?)", names, err)
+		calls = append(calls, call)
 	}
-}
-
-// TestV1MidFrameDeathStillPoisons pins the other half of the bugfix: once
-// request bytes have moved and the exchange dies, the framing state is
-// unknown and the connection must be refused from then on.
-func TestV1MidFrameDeathStillPoisons(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
-	t.Cleanup(func() { clientSide.Close(); serverSide.Close() })
-	c := &Client{conn: clientSide, version: protoV1}
-
-	// The server consumes part of the request then stalls, so the write
-	// dies mid-frame with bytes on the wire.
+	// Reading the first bytes proves the writer took the first request.
+	var lead [4]byte
+	if _, err := io.ReadFull(peer, lead[:]); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
 	go func() {
-		buf := make([]byte, 4)
-		_, _ = serverSide.Read(buf)
+		defer close(closed)
+		_ = m.close()
 	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := c.roundTrip(ctx, opList); err == nil {
-		t.Fatal("mid-frame death succeeded")
+	<-m.bye
+
+	br := bufio.NewReader(io.MultiReader(bytes.NewReader(lead[:]), peer))
+	var ops []byte
+	for {
+		f, err := readFrame(br)
+		if err != nil {
+			break
+		}
+		ops = append(ops, f.op)
 	}
-	if _, err := c.ListDocs(context.Background()); err == nil {
-		t.Fatal("poisoned connection accepted another call")
+	if want := []byte{opPutBlk, opGoodbye}; !bytes.Equal(ops, want) {
+		t.Fatalf("peer received ops %v, want %v", ops, want)
+	}
+	<-closed
+	for i, call := range calls {
+		if _, err := m.recv(ctx, call); err == nil || !strings.Contains(err.Error(), "client closed") {
+			t.Errorf("call %d: err = %v, want client closed", i, err)
+		}
 	}
 }

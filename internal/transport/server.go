@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/attr"
 	"repro/internal/chunker"
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -105,10 +106,10 @@ type GetDocOptions struct {
 	Inline bool
 }
 
-// Server serves a registry over TCP. It speaks protocol v2 (multiplexed,
-// pipelined requests with chunked block streaming) to clients that
-// negotiate it at connect, and the legacy strict request/response
-// protocol v1 to everyone else.
+// Server serves a registry over TCP: multiplexed, pipelined requests at
+// the protocol version (2 to 4) each client negotiates at connect. A
+// client that skips the hello — one that predates protocol v2 — is
+// refused.
 type Server struct {
 	reg *Registry
 
@@ -118,18 +119,18 @@ type Server struct {
 	// progressing upload is not cut off. Zero means forever. Set before
 	// Listen.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write — on a v2 connection, each
-	// response frame — so a slow or stuck client cannot pin a serving
-	// goroutine forever; zero means no bound. Set before Listen.
+	// WriteTimeout bounds each response frame write, so a slow or stuck
+	// client cannot pin a serving goroutine forever; zero means no bound.
+	// Set before Listen.
 	WriteTimeout time.Duration
-	// MaxInFlight bounds how many requests one v2 connection may have in
+	// MaxInFlight bounds how many requests one connection may have in
 	// flight; requests past the bound are rejected with opErrBusy. The
 	// bound is advertised to the client at hello. Zero means
 	// defaultMaxInFlight. Set before Listen.
 	MaxInFlight int
-	// MaxVersion caps the protocol version the server negotiates; zero
-	// means the newest this build speaks. Set to 1 to force every
-	// connection onto the legacy protocol. Set before Listen.
+	// MaxVersion caps the protocol version the server negotiates, from 2
+	// to 4; zero means the newest this build speaks. Listen refuses any
+	// other value. Set before Listen.
 	MaxVersion int
 	// Compression enables per-frame flate compression on connections
 	// that negotiate protocol v4: the hello response advertises the
@@ -184,7 +185,7 @@ type Server struct {
 	// address. Blocks are immutable under their ID, so the entry never
 	// goes stale; it saves re-encoding the descriptor on every fetch of
 	// a hot block.
-	descCache sync.Map // string (block ID) → string (descriptor text)
+	descCache sync.Map // string (block ID) → []byte (descriptor text)
 
 	// adm enforces Admission; nil admits everything. Built at Listen.
 	adm *admitter
@@ -264,6 +265,11 @@ type ClusterHandler interface {
 // bound address. Serving happens on background goroutines until Close or
 // Shutdown.
 func (s *Server) Listen(addr string) (string, error) {
+	if s.MaxVersion != 0 {
+		if err := CheckVersionCap(s.MaxVersion); err != nil {
+			return "", err
+		}
+	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
@@ -430,132 +436,78 @@ func (s *Server) maxInFlight() int {
 
 // maxVersion resolves the newest protocol version the server offers.
 func (s *Server) maxVersion() int {
-	if s.MaxVersion >= protoV1 && s.MaxVersion < maxProtoVersion {
+	if s.MaxVersion != 0 {
 		return s.MaxVersion
 	}
-	return maxProtoVersion
+	return MaxProtocolVersion
 }
 
-// serveConn handles one client until EOF, goodbye, timeout or drain. A
-// client whose first frame is a hello negotiates the protocol version;
-// on v2 the connection switches to the multiplexed loop. A draining
+// serveConn handles one client until EOF, goodbye, timeout or drain. The
+// first frame must be a hello, which negotiates the protocol version;
+// the connection then switches to the multiplexed loop. A draining
 // server answers the requests in flight, then hangs up.
 func (s *Server) serveConn(conn net.Conn) {
 	// The read side is buffered over the idle-rearming reader: pipelined
-	// v2 clients deliver bursts of frames per syscall, and the idle
-	// deadline still re-arms on every chunk the kernel delivers.
+	// clients deliver bursts of frames per syscall, and the idle deadline
+	// still re-arms on every chunk the kernel delivers.
 	in := bufio.NewReaderSize(&idleReader{s: s, conn: conn}, muxBufSize)
 	if !s.armIdle(conn) {
 		return
 	}
-	req, err := readFrame(in)
+	req, err := readHello(in)
 	if err != nil || req.op == opGoodbye {
 		return
 	}
-	if req.op == opHello {
-		version := s.maxVersion()
-		if len(req.parts) != 1 || len(req.parts[0]) != 1 {
-			s.writeV1(conn, opErr, []byte("hello: want [maxVersion]"))
-			return
-		}
-		if clientMax := int(req.parts[0][0]); clientMax < version {
-			version = clientMax
-		}
-		if version < protoV1 {
-			s.writeV1(conn, opErr, []byte("hello: no common protocol version"))
-			return
-		}
-		ad := make([]byte, 2)
-		binary.BigEndian.PutUint16(ad, uint16(s.maxInFlight()))
-		helloParts := [][]byte{{byte(version)}, ad}
-		if version >= protoV4 {
-			// The codec capability part: pre-v4 clients tolerate extra
-			// hello parts, so it is only meaningful — and only sent —
-			// when v4 was negotiated.
-			frameCodec := codec.FrameCodecNone
-			if s.Compression {
-				frameCodec = codec.FrameCodecFlate
-			}
-			helloParts = append(helloParts, []byte{frameCodec})
-		}
-		if err := s.writeV1(conn, opOK, helloParts...); err != nil {
-			return
-		}
-		if version >= protoV2 {
-			s.serveConnV2(conn, in, version)
-			return
-		}
-		s.serveConnV1(conn, in, nil)
+	if req.op != opHello {
+		// A hello-less first frame is a protocol-v1 request: answer it
+		// once, in the framing it expects, and hang up.
+		s.writeHello(conn, opErr, []byte("protocol v1 is no longer served"))
 		return
 	}
-	s.serveConnV1(conn, in, &req)
+	if len(req.parts) != 1 || len(req.parts[0]) != 1 {
+		s.writeHello(conn, opErr, []byte("hello: want [maxVersion]"))
+		return
+	}
+	version := min(s.maxVersion(), int(req.parts[0][0]))
+	if version < protoV2 {
+		s.writeHello(conn, opErr, []byte("hello: no common protocol version"))
+		return
+	}
+	helloParts := [][]byte{{byte(version)}, binary.BigEndian.AppendUint16(nil, uint16(s.maxInFlight()))}
+	if version >= protoV4 {
+		// The codec capability part: pre-v4 clients tolerate extra
+		// hello parts, so it is only meaningful — and only sent — when
+		// v4 was negotiated.
+		frameCodec := codec.FrameCodecNone
+		if s.Compression {
+			frameCodec = codec.FrameCodecFlate
+		}
+		helloParts = append(helloParts, []byte{frameCodec})
+	}
+	if err := s.writeHello(conn, opOK, helloParts...); err != nil {
+		return
+	}
+	s.serveMux(conn, in, version)
 }
 
-// writeV1 sends one v1 frame with the configured write deadline.
-func (s *Server) writeV1(conn net.Conn, op byte, parts ...[]byte) error {
+// writeHello sends one hello-framed message with the configured write
+// deadline.
+func (s *Server) writeHello(conn net.Conn, op byte, parts ...[]byte) error {
 	if s.WriteTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 	}
-	return writeFrame(conn, op, parts...)
+	return writeHello(conn, op, parts...)
 }
 
-// serveConnV1 is the legacy strict request/response loop; first, when
-// non-nil, is a request already read off the connection.
-func (s *Server) serveConnV1(conn net.Conn, in *bufio.Reader, first *frame) {
-	for {
-		var req frame
-		if first != nil {
-			req, first = *first, nil
-		} else {
-			if !s.armIdle(conn) {
-				return
-			}
-			var err error
-			req, err = readFrame(in)
-			if err != nil {
-				return
-			}
-			if req.op == opGoodbye {
-				return
-			}
-		}
-		resp, parts := s.admitAndHandle(req)
-		if err := s.writeV1(conn, resp, parts...); err != nil {
-			return
-		}
-	}
-}
-
-// admitAndHandle runs one request through server-wide admission control
-// and the dispatcher, recording request count, in-flight gauge and
-// admitted latency. Shed requests answer opErrBusy without executing.
-func (s *Server) admitAndHandle(req frame) (byte, [][]byte) {
-	s.Metrics.countRequest(req.op)
-	start := time.Now()
-	release, shed := s.adm.acquire()
-	if shed != "" {
-		return opErrBusy, [][]byte{busyText(shed)}
-	}
-	defer release()
-	s.Metrics.inflightAdd(1)
-	defer s.Metrics.inflightAdd(-1)
-	if s.ServiceDelay > 0 {
-		time.Sleep(s.ServiceDelay)
-	}
-	resp, parts := s.handle(req)
-	s.Metrics.observe(req.op, start)
-	return resp, parts
-}
-
-// v2conn is one multiplexed connection's shared state: the response
+// muxConn is one multiplexed connection's shared state: the response
 // channel its writer drains, the done channel that stops long-lived
 // subscription pumps when the read loop exits, the WaitGroup covering
 // handlers and pumps alike, and the per-connection subscription table
 // (request ID → subscriber) that opUnsubscribe resolves against.
-type v2conn struct {
+type muxConn struct {
 	s       *Server
 	version int
-	respCh  chan frameV2
+	respCh  chan frame
 	done    chan struct{}
 	wg      sync.WaitGroup
 
@@ -564,7 +516,7 @@ type v2conn struct {
 }
 
 // addSub records a live subscription under its opSubscribe request ID.
-func (cc *v2conn) addSub(id uint32, sub *subscriber) {
+func (cc *muxConn) addSub(id uint32, sub *subscriber) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.subs == nil {
@@ -574,7 +526,7 @@ func (cc *v2conn) addSub(id uint32, sub *subscriber) {
 }
 
 // takeSub resolves and forgets a subscription by request ID.
-func (cc *v2conn) takeSub(id uint32) *subscriber {
+func (cc *muxConn) takeSub(id uint32) *subscriber {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	sub := cc.subs[id]
@@ -583,13 +535,13 @@ func (cc *v2conn) takeSub(id uint32) *subscriber {
 }
 
 // dropSub forgets a subscription (the pump is exiting on its own).
-func (cc *v2conn) dropSub(id uint32) {
+func (cc *muxConn) dropSub(id uint32) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	delete(cc.subs, id)
 }
 
-// serveConnV2 is the multiplexed loop: the connection goroutine reads
+// serveMux is the multiplexed loop: the connection goroutine reads
 // request frames and dispatches each to its own handler goroutine,
 // bounded by the per-connection in-flight limit — requests past the
 // bound are rejected immediately with opErrBusy. A writer goroutine
@@ -599,9 +551,9 @@ func (cc *v2conn) dropSub(id uint32) {
 // other responses instead of blocking them. On drain the reader stops,
 // subscription pumps are told to wind down, in-flight handlers finish,
 // and their responses are flushed before the connection closes.
-func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader, version int) {
+func (s *Server) serveMux(conn net.Conn, in *bufio.Reader, version int) {
 	maxIF := s.maxInFlight()
-	respCh := make(chan frameV2, maxIF+2)
+	respCh := make(chan frame, maxIF+2)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -628,7 +580,7 @@ func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader, version int) {
 			}
 		}
 		for {
-			var f frameV2
+			var f frame
 			var ok bool
 			select {
 			case f, ok = <-respCh:
@@ -671,10 +623,10 @@ func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader, version int) {
 		}
 	}()
 
-	cc := &v2conn{s: s, version: version, respCh: respCh, done: make(chan struct{})}
+	cc := &muxConn{s: s, version: version, respCh: respCh, done: make(chan struct{})}
 	sem := make(chan struct{}, maxIF)
 	for s.armIdle(conn) {
-		req, err := readFrameV2(in)
+		req, err := readFrame(in)
 		if err != nil {
 			break
 		}
@@ -684,15 +636,20 @@ func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader, version int) {
 		if !admit(sem) {
 			s.Metrics.countRequest(req.op)
 			s.Metrics.shed(shedConnInflight)
-			respCh <- frameV2{op: opErrBusy, id: req.id,
+			respCh <- frame{op: opErrBusy, id: req.id,
 				parts: [][]byte{[]byte(fmt.Sprintf("busy: %d requests in flight", maxIF))}}
 			continue
 		}
+		if s.inline(req.op) {
+			s.handleMux(cc, req)
+			<-sem
+			continue
+		}
 		cc.wg.Add(1)
-		go func(req frameV2) {
+		go func(req frame) {
 			defer cc.wg.Done()
 			defer func() { <-sem }()
-			s.handleV2(cc, req)
+			s.handleMux(cc, req)
 		}(req)
 	}
 	// Stop subscription pumps first: they run for the subscription's
@@ -703,6 +660,19 @@ func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader, version int) {
 	cc.wg.Wait()
 	close(respCh)
 	<-writerDone
+}
+
+// inline reports whether the connection goroutine answers a request
+// itself instead of handing it to a handler: a lookup the local store
+// answers from memory, on a server with no upstream to consult, no
+// admission queue and no injected delay — nothing that could stall the
+// requests read after it. On such small reads the hand-off to another
+// goroutine costs as much as the work.
+func (s *Server) inline(op byte) bool {
+	if s.Loader != nil || s.Cluster != nil || s.adm != nil || s.ServiceDelay > 0 || s.testOpDelay != nil {
+		return false
+	}
+	return op == opGetBlk || op == opGetDescs
 }
 
 // admit claims one in-flight slot without blocking the read loop. When
@@ -727,19 +697,19 @@ func admit(sem chan struct{}) bool {
 	}
 }
 
-// handleV2 executes one multiplexed request — first through server-wide
+// handleMux executes one multiplexed request — first through server-wide
 // admission control, then the dispatcher — emitting its response frame(s)
 // (several for a streamed block) in order onto respCh. Admission waiting
 // happens here, on the handler goroutine, so a saturated server never
 // stalls the connection's read loop: later frames still reach their own
 // handlers (or their own fast busy rejections).
-func (s *Server) handleV2(cc *v2conn, req frameV2) {
+func (s *Server) handleMux(cc *muxConn, req frame) {
 	respCh := cc.respCh
 	s.Metrics.countRequest(req.op)
 	start := time.Now()
 	release, shed := s.adm.acquire()
 	if shed != "" {
-		respCh <- frameV2{op: opErrBusy, id: req.id, parts: [][]byte{busyText(shed)}}
+		respCh <- frame{op: opErrBusy, id: req.id, parts: [][]byte{busyText(shed)}}
 		return
 	}
 	s.Metrics.inflightAdd(1)
@@ -768,12 +738,12 @@ func (s *Server) handleV2(cc *v2conn, req frameV2) {
 		s.handleUnsubscribe(cc, req, release)
 		return
 	}
-	op, parts := s.handle(frame{op: req.op, parts: req.parts})
+	op, parts := s.handle(req.op, req.parts)
 	// The slot travels with the response frame and is released by the
 	// writer once the frame is actually written: a request occupies
 	// admission capacity for its whole lifetime, not just its compute,
 	// so overload driven by response backpressure still sheds.
-	respCh <- frameV2{op: op, id: req.id, parts: parts, done: release}
+	respCh <- frame{op: op, id: req.id, parts: parts, done: release}
 }
 
 // handleSubscribe answers opSubscribe: it registers a watcher on the
@@ -782,15 +752,15 @@ func (s *Server) handleV2(cc *v2conn, req frameV2) {
 // drains the queue onto the connection for the subscription's lifetime.
 // The admission slot rides the first pushed frame, exactly like a plain
 // response.
-func (s *Server) handleSubscribe(cc *v2conn, req frameV2, release func()) {
+func (s *Server) handleSubscribe(cc *muxConn, req frame, release func()) {
 	respCh := cc.respCh
 	if cc.version < protoV3 {
-		respCh <- frameV2{op: opErr, id: req.id,
+		respCh <- frame{op: opErr, id: req.id,
 			parts: [][]byte{[]byte("subscribe: requires protocol v3")}, done: release}
 		return
 	}
 	if len(req.parts) != 1 && len(req.parts) != 2 {
-		respCh <- frameV2{op: opErr, id: req.id,
+		respCh <- frame{op: opErr, id: req.id,
 			parts: [][]byte{[]byte("subscribe: want [name] or [name, subtree]")}, done: release}
 		return
 	}
@@ -802,16 +772,16 @@ func (s *Server) handleSubscribe(cc *v2conn, req frameV2, release func()) {
 	sub, err := s.subscribeDoc(name, subtree)
 	switch {
 	case errors.Is(err, errUnknownDoc):
-		respCh <- frameV2{op: opErrNotFound, id: req.id,
+		respCh <- frame{op: opErrNotFound, id: req.id,
 			parts: [][]byte{[]byte(err.Error())}, done: release}
 		return
 	case errors.Is(err, errSubsFull):
 		s.Metrics.shed(shedSubsFull)
-		respCh <- frameV2{op: opErrBusy, id: req.id,
+		respCh <- frame{op: opErrBusy, id: req.id,
 			parts: [][]byte{busyText(shedSubsFull)}, done: release}
 		return
 	case err != nil:
-		respCh <- frameV2{op: opErr, id: req.id,
+		respCh <- frame{op: opErr, id: req.id,
 			parts: [][]byte{[]byte(err.Error())}, done: release}
 		return
 	}
@@ -826,12 +796,12 @@ func (s *Server) handleSubscribe(cc *v2conn, req frameV2, release func()) {
 // the connection winds down. It owns the subscriber's registry
 // registration and the active-subscriber gauge: whatever the exit path,
 // both are released — the leak test pins this.
-func (s *Server) pumpSub(cc *v2conn, id uint32, sub *subscriber, release func()) {
+func (s *Server) pumpSub(cc *muxConn, id uint32, sub *subscriber, release func()) {
 	defer cc.wg.Done()
 	defer s.Metrics.subscriberAdd(-1)
 	defer s.reg.unsubscribe(sub)
 	defer cc.dropSub(id)
-	send := func(f frameV2) bool {
+	send := func(f frame) bool {
 		select {
 		case cc.respCh <- f:
 			return true
@@ -845,7 +815,7 @@ func (s *Server) pumpSub(cc *v2conn, id uint32, sub *subscriber, release func())
 	for {
 		select {
 		case ev := <-sub.q:
-			f := frameV2{op: opChange, id: id, parts: ev.parts(), done: release}
+			f := frame{op: opChange, id: id, parts: ev.parts(), done: release}
 			release = nil
 			if ev.kind == changeDelta {
 				s.Metrics.deltaPushed(time.Since(ev.at))
@@ -857,7 +827,7 @@ func (s *Server) pumpSub(cc *v2conn, id uint32, sub *subscriber, release func())
 			if sub.reason == shedSubSlow {
 				s.Metrics.shed(shedSubSlow)
 			}
-			send(frameV2{op: opChange, id: id, parts: endParts(sub.reason), done: release})
+			send(frame{op: opChange, id: id, parts: endParts(sub.reason), done: release})
 			return
 		case <-cc.done:
 			if release != nil {
@@ -872,9 +842,9 @@ func (s *Server) pumpSub(cc *v2conn, id uint32, sub *subscriber, release func())
 // subscription — the pump emits the terminal changeEnd frame — and
 // acknowledges. Unsubscribing an unknown or already-ended subscription
 // is not an error: the shed path races client-requested ends by design.
-func (s *Server) handleUnsubscribe(cc *v2conn, req frameV2, release func()) {
+func (s *Server) handleUnsubscribe(cc *muxConn, req frame, release func()) {
 	if len(req.parts) != 1 || len(req.parts[0]) != 4 {
-		cc.respCh <- frameV2{op: opErr, id: req.id,
+		cc.respCh <- frame{op: opErr, id: req.id,
 			parts: [][]byte{[]byte("unsubscribe: want [subID(u32)]")}, done: release}
 		return
 	}
@@ -882,14 +852,14 @@ func (s *Server) handleUnsubscribe(cc *v2conn, req frameV2, release func()) {
 	if sub := cc.takeSub(subID); sub != nil {
 		sub.end(endReasonUnsubscribed)
 	}
-	cc.respCh <- frameV2{op: opOK, id: req.id, done: release}
+	cc.respCh <- frame{op: opOK, id: req.id, done: release}
 }
 
 // handleStream answers opGetBlkStream: a header frame, the payload cut
 // into sequenced chunks, and an end frame carrying the chunk count.
-func (s *Server) handleStream(req frameV2, respCh chan<- frameV2) {
+func (s *Server) handleStream(req frame, respCh chan<- frame) {
 	reply := func(op byte, parts ...[]byte) {
-		respCh <- frameV2{op: op, id: req.id, parts: parts}
+		respCh <- frame{op: op, id: req.id, parts: parts}
 	}
 	if len(req.parts) != 1 {
 		reply(opErr, []byte("getblkstream: want [name]"))
@@ -912,7 +882,7 @@ func (s *Server) handleStream(req frameV2, respCh chan<- frameV2) {
 	}
 	size := make([]byte, 8)
 	binary.BigEndian.PutUint64(size, uint64(len(blk.Payload)))
-	reply(opStreamHdr, []byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), size)
+	reply(opStreamHdr, []byte(blk.Name), []byte(blk.Medium.String()), descText, size)
 	var seq uint32
 	for off := 0; off < len(blk.Payload); off += streamChunkSize {
 		end := off + streamChunkSize
@@ -929,20 +899,21 @@ func (s *Server) handleStream(req frameV2, respCh chan<- frameV2) {
 	reply(opStreamEnd, count)
 }
 
-// handle executes one request, returning the response op and parts.
-func (s *Server) handle(req frame) (byte, [][]byte) {
+// handle executes one request — its op and argument parts — returning
+// the response op and parts.
+func (s *Server) handle(op byte, args [][]byte) (byte, [][]byte) {
 	fail := func(format string, args ...interface{}) (byte, [][]byte) {
 		return opErr, [][]byte{[]byte(fmt.Sprintf(format, args...))}
 	}
 	notFound := func(format string, args ...interface{}) (byte, [][]byte) {
 		return opErrNotFound, [][]byte{[]byte(fmt.Sprintf(format, args...))}
 	}
-	switch req.op {
+	switch op {
 	case opGetDoc:
-		if len(req.parts) != 3 || len(req.parts[1]) != 1 || len(req.parts[2]) != 1 {
+		if len(args) != 3 || len(args[1]) != 1 || len(args[2]) != 1 {
 			return fail("getdoc: want [name, encoding, inline]")
 		}
-		name := string(req.parts[0])
+		name := string(args[0])
 		doc, ok := s.reg.GetDoc(name)
 		if !ok && s.Loader != nil && s.Loader.LoadDoc(name) {
 			doc, ok = s.reg.GetDoc(name)
@@ -953,23 +924,23 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 		if !ok {
 			return notFound("getdoc: no document %q", name)
 		}
-		if req.parts[2][0] == 1 {
+		if args[2][0] == 1 {
 			inlined, err := Inline(doc, s.reg.Store, false)
 			if err != nil {
 				return fail("getdoc: inline: %v", err)
 			}
 			doc = inlined
 		}
-		data, err := encodeDoc(doc, Encoding(req.parts[1][0]))
+		data, err := encodeDoc(doc, Encoding(args[1][0]))
 		if err != nil {
 			return fail("getdoc: %v", err)
 		}
 		return opOK, [][]byte{data}
 	case opPutDoc:
-		if len(req.parts) != 3 || len(req.parts[1]) != 1 {
+		if len(args) != 3 || len(args[1]) != 1 {
 			return fail("putdoc: want [name, encoding, document]")
 		}
-		doc, err := decodeDoc(req.parts[2], Encoding(req.parts[1][0]))
+		doc, err := decodeDoc(args[2], Encoding(args[1][0]))
 		if err != nil {
 			return fail("putdoc: %v", err)
 		}
@@ -977,7 +948,7 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 			// A proxy never registers documents itself: the origin is the
 			// single writer, and its accepted registration streams back
 			// down through the proxy's upstream subscription.
-			if err := s.Loader.ForwardPutDoc(string(req.parts[0]), doc); err != nil {
+			if err := s.Loader.ForwardPutDoc(string(args[0]), doc); err != nil {
 				return fail("putdoc: upstream: %v", err)
 			}
 			return opOK, nil
@@ -985,7 +956,7 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 		if s.Cluster != nil {
 			// The cluster handler extracts inlined payloads itself (each
 			// block routes to its own replica set, not this node's store).
-			if err := s.Cluster.PutDoc(string(req.parts[0]), doc); err != nil {
+			if err := s.Cluster.PutDoc(string(args[0]), doc); err != nil {
 				return fail("putdoc: %v", err)
 			}
 			return opOK, nil
@@ -995,20 +966,20 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 		if err != nil {
 			return fail("putdoc: extract: %v", err)
 		}
-		s.reg.PutDoc(string(req.parts[0]), extracted)
+		s.reg.PutDoc(string(args[0]), extracted)
 		if err := s.durabilityErr(); err != nil {
 			return fail("putdoc: durability: %v", err)
 		}
 		return opOK, nil
 	case opSubmitEdit:
-		if len(req.parts) != 2 {
+		if len(args) != 2 {
 			return fail("submitedit: want [name, records]")
 		}
-		recs, err := core.DecodeChangeRecords(req.parts[1])
+		recs, err := core.DecodeChangeRecords(args[1])
 		if err != nil {
 			return fail("submitedit: %v", err)
 		}
-		name := string(req.parts[0])
+		name := string(args[0])
 		if s.Loader != nil {
 			gen, err := s.Loader.ForwardEdit(name, recs)
 			switch {
@@ -1048,19 +1019,17 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 		}
 		return opOK, [][]byte{u64be(gen)}
 	case opGetBlk:
-		if len(req.parts) != 1 {
+		if len(args) != 1 {
 			return fail("getblk: want [name]")
 		}
-		name := string(req.parts[0])
+		name := string(args[0])
 		blk, ok := s.lookupBlock(name)
 		if !ok {
 			return notFound("getblk: no block %q", name)
 		}
 		// A payload past the frame limit cannot travel as one response.
-		// Answer opErrTooLarge instead of dying on the write: v2 clients
-		// retry with the chunked stream, v1 clients get a clean remote
-		// error (before this guard the write failure killed the
-		// connection).
+		// Answer opErrTooLarge instead of dying on the write; clients
+		// retry with the chunked stream.
 		if len(blk.Payload) > maxFrameSize-(1<<16) {
 			return opErrTooLarge, [][]byte{[]byte(fmt.Sprintf(
 				"getblk: block of %d bytes exceeds the frame limit; use the chunked stream", len(blk.Payload)))}
@@ -1072,16 +1041,16 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 		return opOK, [][]byte{
 			[]byte(blk.Name),
 			[]byte(blk.Medium.String()),
-			[]byte(descText),
+			descText,
 			blk.Payload,
 		}
 	case opGetBlks:
-		if len(req.parts) == 0 {
+		if len(args) == 0 {
 			return fail("getblks: want at least one name")
 		}
-		parts := make([][]byte, len(req.parts))
+		parts := make([][]byte, len(args))
 		inlined := 0
-		for i, p := range req.parts {
+		for i, p := range args {
 			blk, ok := s.lookupBlock(string(p))
 			if !ok {
 				parts[i] = []byte{entryMissing}
@@ -1100,17 +1069,17 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 			parts[i] = encodeEntry(
 				[]byte(blk.Name),
 				[]byte(blk.Medium.String()),
-				[]byte(descText),
+				descText,
 				blk.Payload,
 			)
 			inlined += len(blk.Payload)
 		}
 		return opOK, parts
 	case opGetBlkManifest:
-		if len(req.parts) != 1 {
+		if len(args) != 1 {
 			return fail("getblkmanifest: want [name]")
 		}
-		name := string(req.parts[0])
+		name := string(args[0])
 		blk, ok := s.lookupBlock(name)
 		if !ok {
 			return notFound("getblkmanifest: no block %q", name)
@@ -1140,17 +1109,17 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 		return opOK, [][]byte{
 			[]byte(blk.Name),
 			[]byte(blk.Medium.String()),
-			[]byte(descText),
+			descText,
 			[]byte(blk.ID),
 			u64be(uint64(len(blk.Payload))),
 			manifest,
 		}
 	case opGetChunks:
-		if len(req.parts) == 0 {
+		if len(args) == 0 {
 			return fail("getchunks: want at least one hash")
 		}
-		parts := make([][]byte, len(req.parts))
-		for i, p := range req.parts {
+		parts := make([][]byte, len(args))
+		for i, p := range args {
 			if len(p) != chunker.HashSize {
 				return fail("getchunks: hash %d has %d bytes, want %d", i, len(p), chunker.HashSize)
 			}
@@ -1164,11 +1133,11 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 		}
 		return opOK, parts
 	case opGetDescs:
-		if len(req.parts) == 0 {
+		if len(args) == 0 {
 			return fail("getdescs: want at least one name")
 		}
-		parts := make([][]byte, len(req.parts))
-		for i, p := range req.parts {
+		parts := make([][]byte, len(args))
+		for i, p := range args {
 			blk, ok := s.lookupBlock(string(p))
 			if !ok {
 				parts[i] = []byte{entryMissing}
@@ -1178,14 +1147,14 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 			if err != nil {
 				return fail("getdescs: descriptor: %v", err)
 			}
-			parts[i] = encodeEntry([]byte(blk.Name), []byte(descText))
+			parts[i] = encodeEntry([]byte(blk.Name), descText)
 		}
 		return opOK, parts
 	case opPutBlk:
-		if len(req.parts) != 4 {
+		if len(args) != 4 {
 			return fail("putblk: want [name, medium, descriptor, payload]")
 		}
-		blk, err := blockFromParts(req.parts)
+		blk, err := blockFromParts(args, nil)
 		if err != nil {
 			return fail("putblk: %v", err)
 		}
@@ -1212,7 +1181,7 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 		// listScopeLocal restricts the answer to locally held documents;
 		// cluster nodes use it when merging peers' listings, so the
 		// fan-out cannot recurse.
-		localOnly := len(req.parts) == 1 && string(req.parts[0]) == string(listScopeLocal)
+		localOnly := len(args) == 1 && string(args[0]) == string(listScopeLocal)
 		if s.Loader != nil && !localOnly {
 			if names, err := s.Loader.ListDocs(); err == nil {
 				parts := make([][]byte, len(names))
@@ -1243,12 +1212,12 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 		if s.Cluster == nil {
 			return fail("gossip: not a cluster node")
 		}
-		if len(req.parts) > 1 {
+		if len(args) > 1 {
 			return fail("gossip: want [view]")
 		}
 		var view []byte
-		if len(req.parts) == 1 {
-			view = req.parts[0]
+		if len(args) == 1 {
+			view = args[0]
 		}
 		local, err := s.Cluster.Gossip(view)
 		if err != nil {
@@ -1259,10 +1228,10 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 		if s.Cluster == nil {
 			return fail("replicate: not a cluster node")
 		}
-		if len(req.parts) != 1 {
+		if len(args) != 1 {
 			return fail("replicate: want [frames]")
 		}
-		if err := s.Cluster.Replicate(req.parts[0]); err != nil {
+		if err := s.Cluster.Replicate(args[0]); err != nil {
 			return fail("replicate: %v", err)
 		}
 		return opOK, nil
@@ -1270,16 +1239,16 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 		if s.Cluster == nil {
 			return fail("resync: not a cluster node")
 		}
-		if len(req.parts) != 1 {
+		if len(args) != 1 {
 			return fail("resync: want [cursor]")
 		}
-		frames, next, err := s.Cluster.Resync(string(req.parts[0]))
+		frames, next, err := s.Cluster.Resync(string(args[0]))
 		if err != nil {
 			return fail("resync: %v", err)
 		}
 		return opOK, [][]byte{frames, []byte(next)}
 	default:
-		return fail("unknown op %d", req.op)
+		return fail("unknown op %d", op)
 	}
 }
 
@@ -1330,19 +1299,19 @@ func (s *Server) subscribeDoc(name, subtree string) (*subscriber, error) {
 }
 
 // descriptorText returns the block's wire-encoded descriptor, memoized
-// by content address.
-func (s *Server) descriptorText(blk *media.Block) (string, error) {
+// by content address. The returned bytes are shared: read-only.
+func (s *Server) descriptorText(blk *media.Block) ([]byte, error) {
 	if text, ok := s.descCache.Load(blk.ID); ok {
 		s.Metrics.descCacheLookup(true)
-		return text.(string), nil
+		return text.([]byte), nil
 	}
 	s.Metrics.descCacheLookup(false)
 	text, err := codec.EncodeNode(descriptorNode(blk), codec.WriteOptions{Form: codec.Embedded})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	s.descCache.Store(blk.ID, text)
-	return text, nil
+	s.descCache.Store(blk.ID, []byte(text))
+	return []byte(text), nil
 }
 
 func encodeDoc(d *core.Document, enc Encoding) ([]byte, error) {
@@ -1377,18 +1346,59 @@ func descriptorNode(b *media.Block) *core.Node {
 	return n
 }
 
-// blockFromParts rebuilds a block from putblk/getblk wire parts.
-func blockFromParts(parts [][]byte) (*media.Block, error) {
+// blockFromParts rebuilds a block from putblk/getblk wire parts,
+// parsing the descriptor through descs (nil parses afresh). The
+// block's payload is parts[3] itself: a frame body is allocated per
+// frame, so a caller only copies when it must not pin the rest of it.
+func blockFromParts(parts [][]byte, descs *descriptorMemo) (*media.Block, error) {
 	medium, err := core.ParseMedium(string(parts[1]))
 	if err != nil {
 		return nil, err
 	}
-	descNode, err := codec.ParseNode(string(parts[2]))
+	desc, err := descs.parse(parts[2])
 	if err != nil {
 		return nil, fmt.Errorf("descriptor: %w", err)
 	}
-	payload := append([]byte(nil), parts[3]...)
-	return media.NewBlock(string(parts[0]), medium, payload, descNode.Attrs), nil
+	return media.NewBlock(string(parts[0]), medium, parts[3], desc), nil
+}
+
+// maxDescMemo bounds a descriptorMemo; a full memo starts over.
+const maxDescMemo = 1024
+
+// descriptorMemo caches parsed block descriptors by their wire text.
+// A server memoizes each block's descriptor text by content address
+// (Server.descriptorText), so repeat fetches carry byte-identical text
+// and a client need parse each distinct descriptor once. Cached lists
+// are shared and read-only: media.NewBlock clones what it keeps.
+type descriptorMemo struct {
+	mu sync.RWMutex
+	m  map[string]attr.List
+}
+
+// parse returns the attributes of a wire descriptor. A nil memo parses
+// without caching.
+func (d *descriptorMemo) parse(text []byte) (attr.List, error) {
+	if d != nil {
+		d.mu.RLock()
+		desc, ok := d.m[string(text)]
+		d.mu.RUnlock()
+		if ok {
+			return desc, nil
+		}
+	}
+	node, err := codec.ParseNode(string(text))
+	if err != nil {
+		return attr.List{}, err
+	}
+	if d != nil {
+		d.mu.Lock()
+		if len(d.m) >= maxDescMemo || d.m == nil {
+			d.m = make(map[string]attr.List)
+		}
+		d.m[string(text)] = node.Attrs
+		d.mu.Unlock()
+	}
+	return node.Attrs, nil
 }
 
 // ErrRemote wraps a server-reported error.

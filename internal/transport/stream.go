@@ -70,7 +70,7 @@ func (a *chunkAssembler) chunk(parts [][]byte) error {
 
 // finish consumes the opStreamEnd parts [chunkCount(u32)] and returns the
 // reassembled block.
-func (a *chunkAssembler) finish(parts [][]byte) (*media.Block, error) {
+func (a *chunkAssembler) finish(parts [][]byte, descs *descriptorMemo) (*media.Block, error) {
 	if !a.started {
 		return nil, fmt.Errorf("transport: stream end before header")
 	}
@@ -86,5 +86,5 @@ func (a *chunkAssembler) finish(parts [][]byte) (*media.Block, error) {
 	if a.payload == nil {
 		a.payload = []byte{}
 	}
-	return blockFromParts([][]byte{a.name, a.medium, a.desc, a.payload})
+	return blockFromParts([][]byte{a.name, a.medium, a.desc, a.payload}, descs)
 }

@@ -298,13 +298,16 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestFrameErrors(t *testing.T) {
 	var buf bytes.Buffer
-	// Oversized part count.
+	// Oversized part count, in both framings.
 	parts := make([][]byte, maxParts+1)
 	for i := range parts {
 		parts[i] = []byte{1}
 	}
-	if err := writeFrame(&buf, opList, parts...); err == nil {
-		t.Error("oversized part count accepted")
+	if err := writeHello(&buf, opList, parts...); err == nil {
+		t.Error("oversized part count accepted in hello framing")
+	}
+	if err := writeMux(&buf, opList, 1, parts...); err == nil {
+		t.Error("oversized part count accepted in mux framing")
 	}
 	// Corrupt frames never panic.
 	for _, raw := range [][]byte{
@@ -314,8 +317,19 @@ func TestFrameErrors(t *testing.T) {
 		{255, 255, 255, 255, 1, 0, 0},
 		{0, 0, 0, 7, 1, 0, 1, 0, 0, 0, 99},
 	} {
+		if _, err := readHello(bytes.NewReader(raw)); err == nil {
+			t.Errorf("corrupt hello frame %v accepted", raw)
+		}
+	}
+	for _, raw := range [][]byte{
+		{},
+		{0, 0, 0, 4, 1, 0, 0, 0},
+		{0, 0, 0, 6, 1, 0, 0, 0, 1, 0},
+		{0, 0, 0, 11, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 99},
+		{0, 0, 0, 8, 1, 0, 0, 0, 1, 0, 0, 7},
+	} {
 		if _, err := readFrame(bytes.NewReader(raw)); err == nil {
-			t.Errorf("corrupt frame %v accepted", raw)
+			t.Errorf("corrupt mux frame %v accepted", raw)
 		}
 	}
 }
@@ -351,7 +365,7 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		{op: opPutBlk, parts: [][]byte{[]byte("x")}},
 		{op: 42},
 	} {
-		op, parts := srv.handle(req)
+		op, parts := srv.handle(req.op, req.parts)
 		if op != opErr && op != opErrNotFound {
 			t.Errorf("req op %d: response %d, want error", req.op, op)
 		}

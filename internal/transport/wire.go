@@ -8,11 +8,7 @@ import (
 	"repro/internal/codec"
 )
 
-// Wire framing: every message is
-//
-//	u32 totalLen | u8 op | u16 partCount | (u32 len | bytes)*
-//
-// with all integers big-endian. totalLen covers everything after itself.
+// Frame limits, shared by the hello and mux framings (see frame).
 const (
 	maxFrameSize = 64 << 20 // 64 MiB: generous for inlined documents
 	maxParts     = 64
@@ -34,14 +30,14 @@ const (
 	// the paper's "relatively small clusters of data (the attributes)".
 	opGetDescs byte = 8
 	// opHello negotiates the protocol version. It is the first frame a
-	// v2-capable client sends, in v1 framing: request [maxVersion],
-	// response opOK [version, maxInFlight(u16)]. A v1 server answers
-	// opErr ("unknown op 9") and the client stays on protocol v1.
+	// client sends, in hello framing (see writeHello): request
+	// [maxVersion], response opOK [version, maxInFlight(u16)] plus, at
+	// v4, [frameCodec]. A server that predates v2 answers opErr
+	// ("unknown op 9"), and the client refuses the connection.
 	opHello byte = 9
-	// opGetBlkStream fetches one block as a chunked v2 stream: the
+	// opGetBlkStream fetches one block as a chunked stream: the
 	// response is a sequence of frames sharing the request ID —
 	// opStreamHdr, then zero or more opStreamChunk, then opStreamEnd.
-	// Only valid after a v2 hello.
 	opGetBlkStream byte = 10
 	// opSubscribe watches a document: request [name] or [name, subtree];
 	// the response is an open-ended sequence of opChange frames sharing
@@ -106,20 +102,20 @@ const (
 	// changeSnapshot [gen(u64), doc], changeDelta [fromGen(u64),
 	// toGen(u64), records] or changeEnd [reason].
 	opChange byte = 132
-	// opCompressed is the envelope marker for a deflated v2 frame:
+	// opCompressed is the envelope marker for a deflated mux frame:
 	//
 	//	u32 totalLen | u8 opCompressed | u32 rawLen | deflateBytes
 	//
 	// where inflating deflateBytes yields exactly rawLen bytes of an
-	// ordinary v2 frame body (op | reqID | partCount | parts), which is
+	// ordinary frame body (op | reqID | partCount | parts), which is
 	// then parsed as usual. Compression sits above CRC/framing: WAL and
 	// replication record bytes inside parts are unchanged. rawLen is
 	// bounded by maxFrameSize before inflation and a nested opCompressed
-	// is rejected. Senders only emit it on v2 mux connections after a
-	// v4 hello with compression negotiated.
+	// is rejected. Senders only emit it after a v4 hello with
+	// compression negotiated.
 	opCompressed byte = 192
 	// opErrTooLarge reports that the requested block cannot be framed as a
-	// single response (payload past maxFrameSize); v2 clients retry with
+	// single response (payload past maxFrameSize); clients retry with
 	// opGetBlkStream.
 	opErrTooLarge byte = 252
 	// opErrBusy is the per-connection backpressure rejection: the server
@@ -133,25 +129,35 @@ const (
 	opGoodbye     byte = 6
 )
 
-// Protocol versions. Version 1 is the original strict request/response
-// protocol; version 2 multiplexes pipelined requests over one connection
-// (frames carry a request ID) and adds chunked block streaming; version 3
-// adds document subscriptions — server-push ordered change deltas and
-// multi-writer edit submission over the same mux framing; version 4 adds
-// wire saturation: compressed frames (opCompressed, negotiated at hello
-// via a codec capability part) and chunk-dedupe block fetches
-// (opGetBlkManifest / opGetChunks).
+// Protocol versions. Version 1 was the original strict request/response
+// protocol; it is no longer served, and only its frame layout survives,
+// as the hello framing. Version 2 multiplexes pipelined requests over
+// one connection (frames carry a request ID) and adds chunked block
+// streaming; version 3 adds document subscriptions — server-push ordered
+// change deltas and multi-writer edit submission over the same mux
+// framing; version 4 adds wire saturation: compressed frames
+// (opCompressed, negotiated at hello via a codec capability part) and
+// chunk-dedupe block fetches (opGetBlkManifest / opGetChunks).
 const (
-	protoV1 = 1
 	protoV2 = 2
 	protoV3 = 3
 	protoV4 = 4
-	// maxProtoVersion is the newest version this build speaks.
-	maxProtoVersion = protoV4
+	// MaxProtocolVersion is the newest version this build speaks.
+	MaxProtocolVersion = protoV4
 )
 
+// CheckVersionCap reports an error unless v is a protocol version this
+// build serves and speaks: 2 through MaxProtocolVersion. Every version
+// cap — server, dial and facade options alike — is checked here.
+func CheckVersionCap(v int) error {
+	if v < protoV2 || v > MaxProtocolVersion {
+		return fmt.Errorf("transport: protocol version cap %d outside %d..%d", v, protoV2, MaxProtocolVersion)
+	}
+	return nil
+}
+
 // defaultMaxInFlight bounds how many requests the server processes
-// concurrently per v2 connection; requests past the bound are rejected
+// concurrently per connection; requests past the bound are rejected
 // with opErrBusy. The server advertises its bound in the hello response
 // so well-behaved clients queue locally instead of being rejected.
 const defaultMaxInFlight = 32
@@ -252,47 +258,14 @@ func decodeEntry(part []byte, nFields int) (fields [][]byte, flag byte, err erro
 	return fields, entryFound, nil
 }
 
-// frame is one decoded wire message.
+// frame is one decoded wire message. Every frame after the hello
+// exchange carries a request ID demultiplexing concurrent in-flight
+// requests:
+//
+//	u32 totalLen | u8 op | u32 reqID | u16 partCount | (u32 len | bytes)*
+//
+// with all integers big-endian; totalLen covers everything after itself.
 type frame struct {
-	op    byte
-	parts [][]byte
-}
-
-// writeFrame encodes and sends a frame.
-func writeFrame(w io.Writer, op byte, parts ...[]byte) error {
-	if len(parts) > maxParts {
-		return fmt.Errorf("transport: %d parts exceeds limit", len(parts))
-	}
-	total := 1 + 2
-	for _, p := range parts {
-		total += 4 + len(p)
-	}
-	if total > maxFrameSize {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", total)
-	}
-	hdr := make([]byte, 4+1+2)
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(total))
-	hdr[4] = op
-	binary.BigEndian.PutUint16(hdr[5:7], uint16(len(parts)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	var lenBuf [4]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(p)))
-		if _, err := w.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// frameV2 is one decoded protocol-v2 wire message: v1 framing plus a
-// request ID demultiplexing concurrent in-flight requests.
-type frameV2 struct {
 	op    byte
 	id    uint32
 	parts [][]byte
@@ -304,149 +277,156 @@ type frameV2 struct {
 	done func()
 }
 
-// writeFrameV2 encodes and sends a v2 frame:
-//
-//	u32 totalLen | u8 op | u32 reqID | u16 partCount | (u32 len | bytes)*
-func writeFrameV2(w io.Writer, op byte, id uint32, parts ...[]byte) error {
+// frameHdrLen is the fixed prefix of a frame: totalLen, op, request ID
+// and part count.
+const frameHdrLen = 4 + 1 + 4 + 2
+
+// checkParts validates a part list against the frame limits and
+// returns the body size (everything after totalLen) a frame with a
+// body header of hdr bytes carries.
+func checkParts(hdr int, parts [][]byte) (int, error) {
 	if len(parts) > maxParts {
-		return fmt.Errorf("transport: %d parts exceeds limit", len(parts))
+		return 0, fmt.Errorf("transport: %d parts exceeds limit", len(parts))
 	}
-	total := 1 + 4 + 2
+	total := hdr
 	for _, p := range parts {
 		total += 4 + len(p)
 	}
 	if total > maxFrameSize {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", total)
+		return 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", total)
 	}
-	hdr := make([]byte, 4+1+4+2)
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(total))
-	hdr[4] = op
-	binary.BigEndian.PutUint32(hdr[5:9], id)
-	binary.BigEndian.PutUint16(hdr[9:11], uint16(len(parts)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	var lenBuf [4]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(p)))
-		if _, err := w.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
+	return total, nil
 }
 
-// readFrameV2 receives and decodes one v2 frame, transparently
+// Hello framing. The version negotiation travels in the original
+// request/response layout, which has no request ID:
+//
+//	u32 totalLen | u8 op | u16 partCount | (u32 len | bytes)*
+//
+// This is the protocol-v1 frame layout, kept byte-for-byte because
+// previous-release peers send and expect it: a client's first frame is
+// opHello (or opGoodbye) in this framing, and the server's hello answer
+// — opOK, or opErr refusing the connection — comes back in it too.
+// Everything after an agreed hello is a mux frame.
+
+// writeHello encodes and sends one hello-framed message in a single
+// write.
+func writeHello(w io.Writer, op byte, parts ...[]byte) error {
+	total, err := checkParts(1+2, parts)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 4+1+2, 4+total)
+	binary.BigEndian.PutUint32(buf[0:4], uint32(total))
+	buf[4] = op
+	binary.BigEndian.PutUint16(buf[5:7], uint16(len(parts)))
+	for _, p := range parts {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p)))
+		buf = append(buf, p...)
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// readHello receives and decodes one hello-framed message.
+func readHello(r io.Reader) (frame, error) {
+	body, err := readBody(r, 1+2)
+	if err != nil {
+		return frame{}, err
+	}
+	parts, err := parseParts(body[1:])
+	if err != nil {
+		return frame{}, err
+	}
+	return frame{op: body[0], parts: parts}, nil
+}
+
+// readFrame receives and decodes one mux frame, transparently
 // inflating a compressed envelope (opCompressed) back into the plain
 // frame it carries. Decoding is unconditional — any v4-capable build
 // understands compressed frames regardless of what it negotiated — but
 // the declared inflated size is bounded by maxFrameSize before any
 // inflation happens and nested envelopes are rejected.
-func readFrameV2(r io.Reader) (frameV2, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return frameV2{}, err
-	}
-	total := binary.BigEndian.Uint32(lenBuf[:])
-	if total < 5 || total > maxFrameSize {
-		return frameV2{}, fmt.Errorf("transport: v2 frame length %d out of range", total)
-	}
-	body := make([]byte, total)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return frameV2{}, err
+func readFrame(r io.Reader) (frame, error) {
+	body, err := readBody(r, 1+4)
+	if err != nil {
+		return frame{}, err
 	}
 	if body[0] == opCompressed {
 		rawLen := int(binary.BigEndian.Uint32(body[1:5]))
 		raw, err := codec.DecompressFrame(body[5:], rawLen, maxFrameSize)
 		if err != nil {
-			return frameV2{}, fmt.Errorf("transport: %w", err)
+			return frame{}, fmt.Errorf("transport: %w", err)
 		}
 		if len(raw) > 0 && raw[0] == opCompressed {
-			return frameV2{}, fmt.Errorf("transport: nested compressed frame")
+			return frame{}, fmt.Errorf("transport: nested compressed frame")
 		}
 		body = raw
 	}
-	return parseFrameV2Body(body)
+	return parseFrameBody(body)
 }
 
-// parseFrameV2Body decodes a plain v2 frame body (everything after the
+// parseFrameBody decodes a plain mux frame body (everything after the
 // totalLen prefix, after any decompression).
-func parseFrameV2Body(body []byte) (frameV2, error) {
-	if len(body) < 7 {
-		return frameV2{}, fmt.Errorf("transport: v2 frame body of %d bytes too short", len(body))
+func parseFrameBody(body []byte) (frame, error) {
+	if len(body) < 1+4 {
+		return frame{}, fmt.Errorf("transport: frame body of %d bytes too short", len(body))
 	}
-	f := frameV2{op: body[0], id: binary.BigEndian.Uint32(body[1:5])}
-	count := int(binary.BigEndian.Uint16(body[5:7]))
-	if count > maxParts {
-		return frameV2{}, fmt.Errorf("transport: %d parts exceeds limit", count)
-	}
-	off := 7
-	for i := 0; i < count; i++ {
-		if off+4 > len(body) {
-			return frameV2{}, fmt.Errorf("transport: truncated part header")
-		}
-		n := int(binary.BigEndian.Uint32(body[off : off+4]))
-		off += 4
-		if n < 0 || off+n > len(body) {
-			return frameV2{}, fmt.Errorf("transport: part length %d exceeds frame", n)
-		}
-		f.parts = append(f.parts, body[off:off+n])
-		off += n
-	}
-	if off != len(body) {
-		return frameV2{}, fmt.Errorf("transport: %d trailing bytes in frame", len(body)-off)
-	}
-	return f, nil
-}
-
-// frameV2Size is the on-wire size of a v2 frame, for traffic accounting.
-func frameV2Size(parts [][]byte) int64 {
-	n := int64(4 + 1 + 4 + 2)
-	for _, p := range parts {
-		n += 4 + int64(len(p))
-	}
-	return n
-}
-
-// readFrame receives and decodes one frame.
-func readFrame(r io.Reader) (frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	parts, err := parseParts(body[5:])
+	if err != nil {
 		return frame{}, err
 	}
+	return frame{op: body[0], id: binary.BigEndian.Uint32(body[1:5]), parts: parts}, nil
+}
+
+// readBody reads one length-prefixed frame body of at least min bytes.
+func readBody(r io.Reader, min uint32) ([]byte, error) {
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		return nil, err
+	}
 	total := binary.BigEndian.Uint32(lenBuf[:])
-	if total < 3 || total > maxFrameSize {
-		return frame{}, fmt.Errorf("transport: frame length %d out of range", total)
+	if total < min || total > maxFrameSize {
+		return nil, fmt.Errorf("transport: frame length %d out of range", total)
 	}
 	body := make([]byte, total)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return frame{}, err
+		return nil, err
 	}
-	f := frame{op: body[0]}
-	count := int(binary.BigEndian.Uint16(body[1:3]))
+	return body, nil
+}
+
+// parseParts decodes the part list both framings share — u16 partCount
+// then (u32 len | bytes)* — which must fill b exactly. Parts alias b.
+func parseParts(b []byte) ([][]byte, error) {
+	if len(b) < 2 {
+		return nil, fmt.Errorf("transport: truncated part count")
+	}
+	count := int(binary.BigEndian.Uint16(b[0:2]))
 	if count > maxParts {
-		return frame{}, fmt.Errorf("transport: %d parts exceeds limit", count)
+		return nil, fmt.Errorf("transport: %d parts exceeds limit", count)
 	}
-	off := 3
+	var parts [][]byte
+	if count > 0 {
+		parts = make([][]byte, 0, count)
+	}
+	off := 2
 	for i := 0; i < count; i++ {
-		if off+4 > len(body) {
-			return frame{}, fmt.Errorf("transport: truncated part header")
+		if off+4 > len(b) {
+			return nil, fmt.Errorf("transport: truncated part header")
 		}
-		n := int(binary.BigEndian.Uint32(body[off : off+4]))
+		n := int(binary.BigEndian.Uint32(b[off : off+4]))
 		off += 4
-		if n < 0 || off+n > len(body) {
-			return frame{}, fmt.Errorf("transport: part length %d exceeds frame", n)
+		if n < 0 || off+n > len(b) {
+			return nil, fmt.Errorf("transport: part length %d exceeds frame", n)
 		}
-		f.parts = append(f.parts, body[off:off+n])
+		parts = append(parts, b[off:off+n])
 		off += n
 	}
-	if off != len(body) {
-		return frame{}, fmt.Errorf("transport: %d trailing bytes in frame", len(body)-off)
+	if off != len(b) {
+		return nil, fmt.Errorf("transport: %d trailing bytes in frame", len(b)-off)
 	}
-	return f, nil
+	return parts, nil
 }
 
 // muxBufSize sizes the buffered readers and writers of the multiplexed

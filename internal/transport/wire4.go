@@ -1,17 +1,21 @@
 package transport
 
-// Protocol-v4 write path: one frameSender per mux connection (client
-// writeLoop and server response writer) owns the wire policy —
+// The mux write path: one frameSender per connection (client writeLoop
+// and server response writer) writes every frame after the hello, and
+// owns the wire policy. One encoder lays each frame out as a gather
+// list (the header and every part-length prefix built once, in one meta
+// buffer, with the payload parts as the caller's own slices), and one
+// of three sinks ships it:
 //
-//   - compression: when negotiated, frame bodies at or past the codec
+//   - compressed: when negotiated, frame bodies at or past the codec
 //     floor are deflated whole into an opCompressed envelope, with the
-//     incompressible-data bypass falling back to the raw encoding;
-//   - vectored writes: large raw frames skip the bufio copy entirely —
-//     the buffered writer is flushed and the frame goes to the
-//     connection as a writev gather list (net.Buffers) whose payload
-//     elements are the store's own (possibly mmap-backed) slices, so
-//     payload bytes move store → conn with no intermediate copy;
-//   - everything else takes the buffered writeFrameV2 path unchanged.
+//     incompressible-data bypass falling back to a raw sink;
+//   - vectored: large raw frames skip the bufio copy entirely — the
+//     buffered writer is flushed and the gather list goes to the
+//     connection as one writev (net.Buffers) whose payload elements are
+//     the store's own (possibly mmap-backed) slices, so payload bytes
+//     move store → conn with no intermediate copy;
+//   - buffered: everything else is copied into the buffered writer.
 //
 // send reports the actual on-wire byte count, which is what the
 // traffic counters (and the S9 bytes-on-wire accounting) record.
@@ -19,7 +23,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 
@@ -33,7 +36,7 @@ import (
 // payloads.
 var vectoredThreshold = 64 << 10
 
-// frameSender writes v2 frames for one connection with the negotiated
+// frameSender writes mux frames for one connection with the negotiated
 // wire policy. Not safe for concurrent use: each connection has exactly
 // one writer goroutine, which is what owns it.
 type frameSender struct {
@@ -45,6 +48,10 @@ type frameSender struct {
 	// onCompress, when set, observes every frame that actually shipped
 	// compressed: raw is the plain encoding's size, wire the envelope's.
 	onCompress func(raw, wire int64)
+
+	// meta and iov are the encoder's scratch, reused frame to frame.
+	meta []byte
+	iov  net.Buffers
 }
 
 func newFrameSender(conn io.Writer) *frameSender {
@@ -55,48 +62,85 @@ func newFrameSender(conn io.Writer) *frameSender {
 // on-wire size. The frame may still be sitting in the buffered writer
 // when send returns; flush before blocking on reads.
 func (s *frameSender) send(op byte, id uint32, parts [][]byte) (int64, error) {
-	if len(parts) > maxParts {
-		return 0, fmt.Errorf("transport: %d parts exceeds limit", len(parts))
+	total, err := s.encode(op, id, parts)
+	if err != nil {
+		return 0, err
 	}
-	total := 1 + 4 + 2
-	payload := 0
-	for _, p := range parts {
-		total += 4 + len(p)
-		payload += len(p)
-	}
-	if total > maxFrameSize {
-		return 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", total)
-	}
+	// The gather list references the caller's parts only until the
+	// frame is out; do not pin payloads until the next send.
+	defer clear(s.iov)
 	if s.compress && total >= codec.CompressFloor {
-		if n, ok, err := s.sendCompressed(op, id, parts, total); ok || err != nil {
+		if n, ok, err := s.sendCompressed(total); ok || err != nil {
 			return n, err
 		}
 	}
-	if payload >= vectoredThreshold {
+	if payload := total - (frameHdrLen - 4) - 4*len(parts); payload >= vectoredThreshold {
 		if err := s.bw.Flush(); err != nil {
 			return 0, err
 		}
-		if err := writeFrameV2Vectored(s.conn, op, id, parts, total); err != nil {
+		// WriteTo consumes the list it is given; keep s.iov's capacity.
+		iov := s.iov
+		if _, err := iov.WriteTo(s.conn); err != nil {
 			return 0, err
 		}
 		return int64(4 + total), nil
 	}
-	if err := writeFrameV2(s.bw, op, id, parts...); err != nil {
-		return 0, err
+	for _, b := range s.iov {
+		if _, err := s.bw.Write(b); err != nil {
+			return 0, err
+		}
 	}
 	return int64(4 + total), nil
 }
 
-// sendCompressed deflates the frame body and writes the envelope. ok is
-// false (and nothing is written) when compression was not worthwhile.
-func (s *frameSender) sendCompressed(op byte, id uint32, parts [][]byte, total int) (int64, bool, error) {
-	body := make([]byte, 0, total)
-	body = append(body, op)
-	body = binary.BigEndian.AppendUint32(body, id)
-	body = binary.BigEndian.AppendUint16(body, uint16(len(parts)))
+// encode validates the frame and lays it out in s.iov:
+//
+//	u32 totalLen | u8 op | u32 reqID | u16 partCount | (u32 len | bytes)*
+//
+// Meta ranges alternate with the non-empty parts; an empty part's
+// prefix folds into the next meta range, so the list holds at most
+// 2·parts+1 elements. total is the body size after totalLen.
+func (s *frameSender) encode(op byte, id uint32, parts [][]byte) (int, error) {
+	total, err := checkParts(frameHdrLen-4, parts)
+	if err != nil {
+		return 0, err
+	}
+	meta := s.meta[:0]
+	meta = binary.BigEndian.AppendUint32(meta, uint32(total))
+	meta = append(meta, op)
+	meta = binary.BigEndian.AppendUint32(meta, id)
+	meta = binary.BigEndian.AppendUint16(meta, uint16(len(parts)))
 	for _, p := range parts {
-		body = binary.BigEndian.AppendUint32(body, uint32(len(p)))
-		body = append(body, p...)
+		meta = binary.BigEndian.AppendUint32(meta, uint32(len(p)))
+	}
+	s.meta = meta
+	iov := s.iov[:0]
+	prev, off := 0, frameHdrLen // pending meta range: header + successive prefixes
+	for _, p := range parts {
+		off += 4
+		if len(p) == 0 {
+			continue
+		}
+		iov = append(iov, meta[prev:off], p)
+		prev = off
+	}
+	if prev < off {
+		iov = append(iov, meta[prev:off])
+	}
+	s.iov = iov
+	return total, nil
+}
+
+// sendCompressed deflates the encoded frame body and writes the
+// envelope. ok is false (and nothing is written) when compression was
+// not worthwhile.
+func (s *frameSender) sendCompressed(total int) (int64, bool, error) {
+	body := make([]byte, 0, total)
+	for i, b := range s.iov {
+		if i == 0 {
+			b = b[4:] // the envelope carries its own totalLen
+		}
+		body = append(body, b...)
 	}
 	comp, ok := codec.CompressFrame(body)
 	if !ok {
@@ -120,33 +164,3 @@ func (s *frameSender) sendCompressed(op byte, id uint32, parts [][]byte, total i
 }
 
 func (s *frameSender) flush() error { return s.bw.Flush() }
-
-// writeFrameV2Vectored writes one raw v2 frame as a single gather list:
-// a meta buffer holds the frame header and every part-length prefix,
-// and the payload elements are the caller's slices, untouched. One
-// backing array, at most 2·parts+1 iovecs, no payload copies. total is
-// the already-validated body size.
-func writeFrameV2Vectored(conn io.Writer, op byte, id uint32, parts [][]byte, total int) error {
-	meta := make([]byte, 4+1+4+2+4*len(parts))
-	binary.BigEndian.PutUint32(meta[0:4], uint32(total))
-	meta[4] = op
-	binary.BigEndian.PutUint32(meta[5:9], id)
-	binary.BigEndian.PutUint16(meta[9:11], uint16(len(parts)))
-	bufs := make(net.Buffers, 0, 1+2*len(parts))
-	off := 11
-	prev := 0 // start of the pending meta range (header + successive prefixes)
-	for _, p := range parts {
-		binary.BigEndian.PutUint32(meta[off:off+4], uint32(len(p)))
-		off += 4
-		if len(p) == 0 {
-			continue // fold this prefix into the next meta range
-		}
-		bufs = append(bufs, meta[prev:off], p)
-		prev = off
-	}
-	if prev < off {
-		bufs = append(bufs, meta[prev:off])
-	}
-	_, err := bufs.WriteTo(conn)
-	return err
-}

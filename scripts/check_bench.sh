@@ -19,10 +19,11 @@
 #   - relative-throughput floors with machine tolerances, and the committed
 #     headline speedups (warm-batched ≥ 4x; incremental reschedule ≥ 10x;
 #     component-parallel ≥ 2x whenever the committed run recorded
-#     GOMAXPROCS ≥ 4; multiplexed wire protocol ≥ 3x over the serialized
-#     v1 path at 16 workers on one connection);
+#     GOMAXPROCS ≥ 4; multiplexed wire protocol ≥ 3x over the serial
+#     discipline — one request in flight — at 16 workers on one
+#     connection);
 #   - the streamed-transfer probe: a ≥ 64 MiB block retrieved through the
-#     v2 chunked stream, and unfetchable over protocol v1;
+#     chunked stream in at least two chunks;
 #   - the durability invariants: recovery restores 100% of the corpus
 #     byte-for-byte (names, content addresses, payloads), write
 #     amplification stays within the record format's ceiling, sync=never
