@@ -16,10 +16,9 @@ import (
 
 // The server-level crash harness: the child process is a durable cmifd
 // stand-in (cmif.Serve with WithDataDir and SyncAlways); the parent
-// ingests blocks over the real wire protocol, records which puts the
-// server acknowledged, SIGKILLs it mid-ingest, and verifies the data
-// directory recovers every acknowledged block — the ISSUE's acceptance
-// scenario end to end.
+// ingests blocks and then edits a document over the real wire protocol,
+// records which writes the server acknowledged, SIGKILLs it, and verifies
+// the data directory recovers every acknowledged block and edit.
 
 const crashServeEnvVar = "CMIF_CRASH_SERVER_DIR"
 
@@ -96,15 +95,39 @@ func TestCrashRecoveryServer(t *testing.T) {
 		}
 		acked[b.Name] = id
 	}
+	// Then a document and a stream of edits to it: each acknowledged
+	// edit is journaled as its change records, and recovery must replay
+	// them onto the document.
+	if err := c.Put(ctx, "show", buildDoc(t)); err != nil {
+		t.Fatal(err)
+	}
+	var lastEdit cmif.Value
+	for i := 0; i < 25; i++ {
+		v := cmif.Qty(cmif.MS(int64(100 + i)))
+		if _, err := c.SubmitEdit(ctx, "show", cmif.NewEditBatch().SetAttr("/caption", "duration", v)); err != nil {
+			t.Fatalf("edit %d failed: %v", i, err)
+		}
+		lastEdit = v
+	}
+	checkEdit := func(d *cmif.Document) {
+		t.Helper()
+		if got, ok := d.FindByName("caption").Attrs.Get("duration"); !ok || !got.Equal(lastEdit) {
+			t.Fatalf("caption duration %v, want the last acknowledged edit's %v", got, lastEdit)
+		}
+	}
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	cmd.Wait()
 
-	store, _, err := cmif.LoadDataDir(dir)
+	store, docs, err := cmif.LoadDataDir(dir)
 	if err != nil {
 		t.Fatalf("recovery after SIGKILL failed: %v", err)
 	}
+	if docs["show"] == nil {
+		t.Fatal("acknowledged document lost by the crash")
+	}
+	checkEdit(docs["show"])
 	for name, id := range acked {
 		got, ok := store.Resolve(name)
 		if !ok {
@@ -132,6 +155,11 @@ func TestCrashRecoveryServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
+	served, err := c2.Document(ctx, "show")
+	if err != nil {
+		t.Fatalf("restarted server cannot serve the edited document: %v", err)
+	}
+	checkEdit(served)
 	for name, id := range acked {
 		blk, err := c2.Block(ctx, name)
 		if err != nil {

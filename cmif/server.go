@@ -197,12 +197,19 @@ func NewServer(opts ...ServeOption) *Server {
 			}
 		}
 		reg = transport.NewRegistry(st.Store)
-		// Recovered documents preload before the journal hook attaches —
-		// they are already on disk.
+		// Recovered documents preload before the journal hooks attach —
+		// they are already on disk — at the generation they had reached,
+		// so generations keep increasing across a restart.
 		for name, d := range st.Docs {
-			reg.PutDoc(name, d)
+			reg.PutDocAt(name, d, st.Generation(name))
 		}
 		reg.OnPutDoc = func(name string, d *core.Document) { _ = log.PutDoc(name, d) }
+		// An accepted edit journals as its change records, not as the
+		// edited document.
+		reg.OnEditDoc = func(name string, recs []core.ChangeRecord) error {
+			_, err := log.EditDoc(name, recs)
+			return err
+		}
 		reg.DurabilityErr = log.Err
 	default:
 		reg = transport.NewRegistry(cfg.store)

@@ -255,7 +255,8 @@ func (s *Subscription) Next(ctx context.Context) (*Plan, error) {
 		}
 		switch ev.Kind {
 		case transport.SubSnapshot:
-			// The document was wholesale replaced (generation restarts).
+			// The document was wholesale replaced (at the generation the
+			// replacement carries).
 			doc := wrapDocument(ev.Doc)
 			plan, err := Schedule(doc, s.opts...)
 			if err != nil {

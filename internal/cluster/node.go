@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -130,7 +131,9 @@ type Node struct {
 
 	// applyMu serializes replica-side applies (live replication, resync
 	// chunks) and guards the touched-key set that keeps a stale resync
-	// record from regressing a concurrent live write.
+	// record from regressing a concurrent live write. The set records
+	// from the first write the node serves until its resync completes
+	// (nil after).
 	applyMu sync.Mutex
 	touched map[string]bool
 
@@ -146,6 +149,8 @@ type Node struct {
 
 	mForwarded *metrics.Counter
 	mReplRecs  *metrics.Counter
+	mRebases   *metrics.Counter
+	mCatchUps  *metrics.Counter
 	mResyncRec *metrics.Counter
 	mDeaths    *metrics.Counter
 	mGossip    *metrics.Counter
@@ -170,24 +175,28 @@ func Start(cfg Config) (*Node, error) {
 	}
 
 	// The registry shares the recovered block store. The journal is NOT
-	// attached as the store's mutation hook and OnPutDoc stays nil: every
-	// cluster mutation is framed once and fed through AppendFrames, which
-	// journals and applies in one step (a self-journaling state would
-	// record everything twice).
+	// attached as the store's mutation hook and the registry's journal
+	// hooks stay nil: every cluster mutation is framed once and fed
+	// through AppendFrames, which journals and applies in one step (a
+	// self-journaling state would record everything twice); a primary's
+	// edit journals through Log.EditDoc explicitly. Documents register at
+	// the generation they had reached, which keeps a restarted replica's
+	// generations in step with its primary's.
 	reg := transport.NewRegistry(st.Store)
 	for name, d := range st.Docs {
-		reg.PutDoc(name, d)
+		reg.PutDocAt(name, d, st.Generation(name))
 	}
 	reg.DurabilityErr = log.Err
 
 	n := &Node{
-		cfg:    cfg,
-		log:    log,
-		reg:    reg,
-		peers:  make(map[string]*transport.Client),
-		ready:  make(chan struct{}),
-		synced: make(chan struct{}),
-		stop:   make(chan struct{}),
+		cfg:     cfg,
+		log:     log,
+		reg:     reg,
+		peers:   make(map[string]*transport.Client),
+		touched: make(map[string]bool),
+		ready:   make(chan struct{}),
+		synced:  make(chan struct{}),
+		stop:    make(chan struct{}),
 	}
 
 	srv := transport.NewServer(reg)
@@ -209,6 +218,8 @@ func Start(cfg Config) (*Node, error) {
 	}
 	n.mForwarded = mreg.Counter("cmif_cluster_forwarded_writes_total", "Writes forwarded to a key's primary.")
 	n.mReplRecs = mreg.Counter("cmif_cluster_replicated_batches_total", "Replication batches shipped to replicas.")
+	n.mRebases = mreg.Counter("cmif_cluster_rebases_total", "Documents re-based on every replica after one refused an edit on a stale base.")
+	n.mCatchUps = mreg.Counter("cmif_cluster_primary_catchups_total", "Documents a primary found itself behind on and copied from a replica.")
 	n.mResyncRec = mreg.Counter("cmif_cluster_resync_chunks_total", "Resync chunks applied while rejoining.")
 	n.mDeaths = mreg.Counter("cmif_cluster_peer_deaths_total", "Peers condemned on direct failure evidence.")
 	n.mGossip = mreg.Counter("cmif_cluster_gossip_rounds_total", "Gossip rounds completed.")
@@ -443,8 +454,8 @@ func blockKey(b *media.Block) string {
 // name registration ("n/").
 func recordKey(r durable.Record) string {
 	switch r.Op {
-	case durable.RecPutDoc, durable.RecDelDoc:
-		return "d/" + string(r.Fields[0])
+	case durable.RecPutDoc, durable.RecDelDoc, durable.RecEditDoc:
+		return docKey(string(r.Fields[0]))
 	case durable.RecPutBlk, durable.RecDelBlk:
 		return "B/" + string(r.Fields[0])
 	case durable.RecName:
@@ -509,6 +520,11 @@ func (n *Node) routeWrite(key string, local func() error, forward func(ctx conte
 func (n *Node) commitLocal(key string, frames []byte) error {
 	n.replMu.Lock()
 	defer n.replMu.Unlock()
+	return n.commitLocked(key, frames)
+}
+
+// commitLocked is commitLocal for a caller already holding replMu.
+func (n *Node) commitLocked(key string, frames []byte) error {
 	if err := n.applyFrames(frames); err != nil {
 		return err
 	}
@@ -519,7 +535,8 @@ func (n *Node) commitLocal(key string, frames []byte) error {
 // synchronously — the write is not acknowledged until every reachable
 // replica holds it. A replica that fails at the connection level is
 // condemned and skipped (its range has failed over; it will resync on
-// rejoin); a replica that answers with a rejection fails the write.
+// rejoin); a replica that answers with a rejection fails the write (see
+// isStaleBase for the rejection an edit answers with a re-base).
 func (n *Node) replicateOut(key string, frames []byte) error {
 	self := n.view.SelfID()
 	for _, id := range n.ring().ReplicaSet(key, n.cfg.Replication) {
@@ -551,49 +568,45 @@ func (n *Node) replicateOut(key string, frames []byte) error {
 	return nil
 }
 
-// applyFrames journals and applies a batch, refreshing the serving
-// registry for any document it changed. Serialized with resync applies so
-// the touched-key bookkeeping cannot miss a write.
+// applyFrames journals and applies a batch, then records its keys as
+// touched. Serialized with resync applies so the touched-key bookkeeping
+// cannot miss a write; a batch the log refuses touches nothing, so a
+// resync never drops its copy of a key for a write that did not land.
 func (n *Node) applyFrames(frames []byte) error {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
+	if err := n.applyFramesLocked(frames); err != nil {
+		return err
+	}
 	n.noteTouchedLocked(frames)
-	return n.applyFramesLocked(frames, true)
+	return nil
 }
 
-// applyFramesLocked appends frames through the WAL and mirrors document
-// changes into the registry (refreshReg false skips the mirror — the
-// edit path already updated the registry through EditDoc).
-func (n *Node) applyFramesLocked(frames []byte, refreshReg bool) error {
+// applyFramesLocked appends frames through the WAL and brings the serving
+// registry in step with every document they changed. A batch that only
+// edited a document applies to the registry as that edit, so the node's
+// subscribers receive a delta and its generations advance with the
+// primary's; anything else — and a registry that somehow lost step with
+// the log — re-registers the log's copy at the log's generation.
+func (n *Node) applyFramesLocked(frames []byte) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	putDocs, delDocs, err := n.log.AppendFrames(frames)
+	changes, err := n.log.AppendFrames(frames)
 	if err != nil {
 		return err
 	}
-	if !refreshReg {
-		return nil
-	}
-	if len(putDocs) > 0 {
-		changed := make(map[string]bool, len(putDocs))
-		for _, name := range putDocs {
-			changed[name] = true
+	for _, c := range changes {
+		if c.Doc == nil {
+			n.reg.DropDoc(c.Name, "cluster: deleted")
+			continue
 		}
-		// Decode errors are impossible here: AppendFrames just validated
-		// the identical bytes.
-		recs, _ := durable.DecodeFrames(frames)
-		for _, r := range recs {
-			if r.Op != durable.RecPutDoc || !changed[string(r.Fields[0])] {
+		if c.Edits != nil {
+			if gen, err := n.reg.EditDoc(c.Name, c.Edits); err == nil && gen == c.Gen {
 				continue
 			}
-			if d, derr := codec.DecodeBinary(r.Fields[1]); derr == nil {
-				n.reg.PutDoc(string(r.Fields[0]), d)
-			}
 		}
-	}
-	for _, name := range delDocs {
-		n.reg.DropDoc(name, "cluster: deleted")
+		n.reg.PutDocAt(c.Name, c.Doc, c.Gen)
 	}
 	return nil
 }
@@ -643,13 +656,33 @@ func (n *Node) PutDoc(name string, d *core.Document) error {
 		return fmt.Errorf("cluster: encode %q: %w", name, err)
 	}
 	key := docKey(name)
-	frame := durable.FramePutDoc(name, data)
 	return n.routeWrite(key,
-		func() error { return n.commitLocal(key, frame) },
+		func() error {
+			n.replMu.Lock()
+			defer n.replMu.Unlock()
+			gen := uint64(0)
+			if _, ok := n.reg.GetDoc(name); ok {
+				gen = nextEpoch(n.reg.Generation(name))
+			}
+			return n.commitLocked(key, durable.FramePutDocAt(name, data, gen))
+		},
 		func(ctx context.Context, c *transport.Client) error {
 			return c.PutDoc(ctx, name, extracted, transport.EncodingBinary)
 		})
 }
+
+// epochShift splits a cluster document's generation in two: the high
+// bits count the wholesale puts that replaced the document (its epoch),
+// the low bits the generations its edits advanced it by since. A put of
+// a document already held starts the next epoch instead of restarting at
+// zero, so generations only grow along a document's history, and of two
+// copies the one with the higher generation is the later one (see
+// catchUp). A first put starts at zero, as on a single server.
+const epochShift = 32
+
+// nextEpoch returns the generation a put replacing a document at gen
+// starts at: the first of the next epoch.
+func nextEpoch(gen uint64) uint64 { return (gen>>epochShift + 1) << epochShift }
 
 // PutBlock routes a block put. The journal frames carry the block and,
 // when it is named, the name registration — exactly the records a
@@ -682,7 +715,11 @@ func (n *Node) PutBlock(b *media.Block) (string, error) {
 
 // SubmitEdit routes an edit to the document's primary, which applies it
 // against its live registry (the single point where conflicts are
-// decided) and replicates the post-edit document as a full-state record.
+// decided), journals the batch as one edit record and ships that record
+// to the replicas, which apply it as an edit too. A replica whose copy is
+// not at the record's base version refuses it. The primary then re-bases
+// the document on every replica before acknowledging — after replacing
+// its own copy first if that copy is the one behind (catchUp).
 func (n *Node) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, error) {
 	<-n.ready
 	key := docKey(name)
@@ -691,28 +728,27 @@ func (n *Node) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, error)
 		func() error {
 			n.replMu.Lock()
 			defer n.replMu.Unlock()
-			g, err := n.reg.EditDoc(name, recs)
+			pre := n.reg.Generation(name)
+			g, frame, err := n.editLocal(name, recs)
 			if err != nil {
 				return err
 			}
 			gen = g
-			doc, ok := n.reg.GetDoc(name)
-			if !ok {
-				return fmt.Errorf("cluster: edited document %q vanished", name)
+			if err := n.replicateOut(key, frame); !isStaleBase(err) {
+				return err
 			}
-			data, err := codec.EncodeBinary(doc)
+			ahead, err := n.catchUp(key, name, pre)
 			if err != nil {
 				return err
 			}
-			frame := durable.FramePutDoc(name, data)
-			n.applyMu.Lock()
-			n.noteTouchedLocked(frame)
-			err = n.applyFramesLocked(frame, false)
-			n.applyMu.Unlock()
-			if err != nil {
-				return err
+			if ahead {
+				// The caught-up copy superseded the one just edited;
+				// the batch applies again on top of it.
+				if gen, _, err = n.editLocal(name, recs); err != nil {
+					return err
+				}
 			}
-			return n.replicateOut(key, frame)
+			return n.rebase(key, name)
 		},
 		func(ctx context.Context, c *transport.Client) error {
 			g, err := c.SubmitEdit(ctx, name, recs)
@@ -728,6 +764,107 @@ func (n *Node) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, error)
 	return gen, nil
 }
 
+// editLocal applies an edit batch to the registry, journaling it through
+// the WAL before it fans out, and returns the new generation and the
+// appended edit record.
+func (n *Node) editLocal(name string, recs []core.ChangeRecord) (uint64, []byte, error) {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+	var frame []byte
+	gen, err := n.reg.EditDocJournaled(name, recs, func(name string, recs []core.ChangeRecord) (err error) {
+		frame, err = n.log.EditDoc(name, recs)
+		return err
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	n.noteTouchedLocked(frame)
+	return gen, frame, nil
+}
+
+// catchUp runs when a replica refuses the primary's edit on a stale base.
+// Either that replica missed writes, or this node is the one behind — a
+// node that became primary (a rejoin moves placement) before its copy
+// caught up, or while its peers' views still left it out of the replica
+// set. Cluster generations only grow along a document's history (puts
+// start a new epoch, see epochShift), so a replica copy whose generation
+// exceeds this node's pre-edit one, and which is not simply this node's
+// copy (a replica that took this very edit holds that), carries writes
+// this node lacks: catchUp installs the most advanced such copy in place
+// of its own and reports true. A re-base from a stale primary would
+// otherwise roll acknowledged writes back on every replica. Callers hold
+// replMu.
+func (n *Node) catchUp(key, name string, pre uint64) (bool, error) {
+	own, ok := n.reg.GetDoc(name)
+	if !ok {
+		return false, fmt.Errorf("cluster: catch up: %q vanished", name)
+	}
+	ownData, err := codec.EncodeBinary(own)
+	if err != nil {
+		return false, fmt.Errorf("cluster: catch up %q: %w", name, err)
+	}
+	var best []byte
+	bestGen := pre
+	self := n.view.SelfID()
+	for _, id := range n.ring().ReplicaSet(key, n.cfg.Replication) {
+		addr := n.view.AliveAddr(id)
+		if id == self || addr == "" {
+			continue
+		}
+		c, err := n.peer(addr)
+		if err != nil {
+			continue
+		}
+		ctx, cancel := n.peerCtx()
+		sub, err := c.SubscribeDoc(ctx, name)
+		cancel()
+		if err != nil {
+			continue
+		}
+		_ = sub.Close()
+		if sub.Gen <= bestGen {
+			continue
+		}
+		if data, err := codec.EncodeBinary(sub.Doc); err == nil && !bytes.Equal(data, ownData) {
+			best, bestGen = data, sub.Gen
+		}
+	}
+	if best == nil {
+		return false, nil
+	}
+	if err := n.applyFrames(durable.FramePutDocAt(name, best, bestGen)); err != nil {
+		return false, err
+	}
+	n.mCatchUps.Inc()
+	return true, nil
+}
+
+// rebase journals the document's current state as one full put and ships
+// it to every replica, resetting all their versions together. It answers
+// a replica that refused an edit on a stale base — one that missed a
+// write, lived through a failover, or is still resyncing. Callers hold
+// replMu.
+func (n *Node) rebase(key, name string) error {
+	n.applyMu.Lock()
+	frame, err := n.log.Rebase(name)
+	if err == nil {
+		n.noteTouchedLocked(frame)
+	}
+	n.applyMu.Unlock()
+	if err != nil {
+		return err
+	}
+	n.mRebases.Inc()
+	return n.replicateOut(key, frame)
+}
+
+// isStaleBase reports whether a replica refused a write because its copy
+// of the document is not at the edit's base version. The refusal crosses
+// the wire as text, like a conflict's.
+func isStaleBase(err error) bool {
+	return err != nil && strings.Contains(err.Error(), durable.ErrStaleBase.Error())
+}
+
 // Gossip answers a peer's exchange: merge its view, return ours.
 func (n *Node) Gossip(view []byte) ([]byte, error) {
 	<-n.ready
@@ -740,7 +877,9 @@ func (n *Node) Gossip(view []byte) ([]byte, error) {
 }
 
 // Replicate applies a primary's shipped WAL records — the replica half of
-// the write path.
+// the write path. An edit record whose base is not this node's version of
+// the document is refused with durable.ErrStaleBase and changes nothing;
+// the primary answers by re-basing the document.
 func (n *Node) Replicate(frames []byte) error {
 	<-n.ready
 	return n.applyFrames(frames)
@@ -860,10 +999,6 @@ func (n *Node) DocNames() ([]string, error) {
 func (n *Node) resyncLoop() {
 	defer n.wg.Done()
 	defer close(n.synced)
-
-	n.applyMu.Lock()
-	n.touched = make(map[string]bool)
-	n.applyMu.Unlock()
 	defer func() {
 		n.applyMu.Lock()
 		n.touched = nil
@@ -946,7 +1081,7 @@ func (n *Node) resyncFrom(addr string) bool {
 			return !n.touched[recordKey(r)]
 		})
 		if ferr == nil {
-			ferr = n.applyFramesLocked(kept, true)
+			ferr = n.applyFramesLocked(kept)
 		}
 		n.applyMu.Unlock()
 		if ferr != nil {

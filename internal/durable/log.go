@@ -91,8 +91,7 @@ type Log struct {
 	err      error  // sticky first append failure
 	closed   bool
 
-	st   *State            // live state, snapshotted on demand
-	docs map[string][]byte // binary of registered documents, for dedupe + snapshot
+	st *State // live state, snapshotted on demand
 
 	snapshotting atomic.Bool
 	snapErr      error // last background-snapshot failure
@@ -128,7 +127,7 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
-	st, docs, walBytes, maxSeq, err := recoverDir(dir, true)
+	st, walBytes, maxSeq, err := recoverDir(dir, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -138,7 +137,6 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 		seq:      maxSeq, // rollLocked moves to maxSeq+1
 		walBytes: walBytes,
 		st:       st,
-		docs:     docs,
 	}
 	l.mu.Lock()
 	err = l.rollLocked()
@@ -181,6 +179,15 @@ func (l *Log) Stats() Stats {
 		Snapshots:         l.snapshots.Load(),
 		LastSnapshotBytes: l.snapBytes.Load(),
 	}
+}
+
+// healthyLocked reports why the log cannot take an append: closed, or
+// stuck on an earlier failure.
+func (l *Log) healthyLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.err
 }
 
 // fail records the first append error; later appends return it.
@@ -255,6 +262,11 @@ func (l *Log) Sync() error {
 // appendLocked frames and writes one record under l.mu, honouring the
 // sync policy, and reports whether the auto-snapshot threshold tripped.
 func (l *Log) appendLocked(op byte, fields ...[]byte) (snapDue bool, err error) {
+	return l.appendFrameLocked(encodeFrame(op, fields...))
+}
+
+// appendFrameLocked is appendLocked for an already framed record.
+func (l *Log) appendFrameLocked(frame []byte) (snapDue bool, err error) {
 	if l.mAppendSec != nil {
 		start := time.Now()
 		defer func() {
@@ -268,13 +280,9 @@ func (l *Log) appendLocked(op byte, fields ...[]byte) (snapDue bool, err error) 
 			}
 		}()
 	}
-	if l.closed {
-		return false, ErrClosed
+	if err := l.healthyLocked(); err != nil {
+		return false, err
 	}
-	if l.err != nil {
-		return false, l.err
-	}
-	frame := encodeFrame(op, fields...)
 	if len(frame)-frameHeaderSize > maxRecordBytes {
 		// A record past the replayer's size bound must never reach the
 		// log: it would be journaled and acknowledged now, then rejected
@@ -448,14 +456,13 @@ func (l *Log) PutDoc(name string, d *core.Document) error {
 		return err
 	}
 	l.mu.Lock()
-	if prev, ok := l.docs[name]; ok && bytes.Equal(prev, data) {
+	if dl, ok := l.st.docs[name]; ok && len(dl.tail) == 0 && dl.gen == 0 && bytes.Equal(dl.base, data) {
 		l.mu.Unlock()
 		return nil
 	}
-	snapDue, err := l.appendLocked(recPutDoc, []byte(name), data)
+	snapDue, err := l.appendLocked(recPutDoc, putFields(name, data, 0)...)
 	if err == nil {
-		l.docs[name] = data
-		l.st.Docs[name] = d.Clone()
+		l.st.putDoc(name, data, 0, d.Clone())
 	}
 	l.mu.Unlock()
 	if snapDue {
@@ -464,17 +471,80 @@ func (l *Log) PutDoc(name string, d *core.Document) error {
 	return err
 }
 
+// EditDoc records an accepted edit batch against the document's current
+// version and returns the appended frame — the bytes a cluster primary
+// ships to its replicas. The batch re-executes against the log's own copy
+// first: one that does not apply is refused and nothing is appended. A
+// batch that leaves the edit tail larger than the base put is followed
+// by a re-base put (see docs.go).
+func (l *Log) EditDoc(name string, recs []core.ChangeRecord) ([]byte, error) {
+	enc := core.EncodeChangeRecords(recs)
+	l.mu.Lock()
+	if err := l.healthyLocked(); err != nil {
+		l.mu.Unlock()
+		return nil, err
+	}
+	dl, ok := l.st.docs[name]
+	if !ok {
+		l.mu.Unlock()
+		return nil, fmt.Errorf("%w: no document %q", ErrStaleBase, name)
+	}
+	base := dl.version
+	if err := l.st.editDoc(name, base, recs, enc); err != nil {
+		l.mu.Unlock()
+		return nil, err
+	}
+	frame := FrameEditDoc(name, base, enc)
+	snapDue, err := l.appendFrameLocked(frame)
+	if err == nil && l.st.docs[name].rebaseDue() {
+		var due bool
+		_, due, err = l.rebaseLocked(name)
+		snapDue = snapDue || due
+	}
+	l.mu.Unlock()
+	if snapDue {
+		l.snapshotAsync()
+	}
+	return frame, err
+}
+
+// Rebase journals the document's current state as a fresh full put at
+// its current generation and returns the appended frame. A cluster
+// primary re-bases when a replica rejects an edit with ErrStaleBase, and
+// ships the frame to every replica so all versions reset together.
+func (l *Log) Rebase(name string) ([]byte, error) {
+	l.mu.Lock()
+	frame, snapDue, err := l.rebaseLocked(name)
+	l.mu.Unlock()
+	if snapDue {
+		l.snapshotAsync()
+	}
+	return frame, err
+}
+
+func (l *Log) rebaseLocked(name string) (frame []byte, snapDue bool, err error) {
+	if err := l.healthyLocked(); err != nil {
+		return nil, false, err
+	}
+	fields, err := l.st.rebase(name)
+	if err != nil {
+		return nil, false, err
+	}
+	frame = encodeFrame(recPutDoc, fields...)
+	snapDue, err = l.appendFrameLocked(frame)
+	return frame, snapDue, err
+}
+
 // DelDoc records a document removal.
 func (l *Log) DelDoc(name string) error {
 	l.mu.Lock()
-	if _, ok := l.docs[name]; !ok {
+	if _, ok := l.st.docs[name]; !ok {
 		l.mu.Unlock()
 		return nil
 	}
 	snapDue, err := l.appendLocked(recDelDoc, []byte(name))
 	if err == nil {
-		delete(l.docs, name)
-		delete(l.st.Docs, name)
+		l.st.delDoc(name)
 	}
 	l.mu.Unlock()
 	if snapDue {
@@ -486,11 +556,13 @@ func (l *Log) DelDoc(name string) error {
 // --- snapshots and compaction ----------------------------------------
 
 // Snapshot writes the live state to a new snapshot file and compacts the
-// WAL segments it covers. Concurrent with appends: a mutation racing the
-// capture may land in both the snapshot and the tail — harmless, because
-// records are full-state puts and deletes, so replaying the tail over the
-// snapshot converges on the live state. If a snapshot is already in
-// flight, Snapshot returns nil without taking another.
+// WAL segments it covers. Concurrent with appends: a block or descriptor
+// mutation racing the capture may land in both the snapshot and the tail
+// — harmless, because those records are full-state puts and deletes, so
+// replaying the tail over the snapshot converges on the live state.
+// Documents are captured exactly at the roll (see snapshot). If a
+// snapshot is already in flight, Snapshot returns nil without taking
+// another.
 func (l *Log) Snapshot() error {
 	if !l.snapshotting.CompareAndSwap(false, true) {
 		return nil
@@ -553,9 +625,13 @@ func (l *Log) snapshot() error {
 	// the counter is settled only once the snapshot lands, so a failed
 	// write leaves the live-WAL accounting (and the auto-trigger) intact.
 	covered := l.walBytes
-	docs := make(map[string][]byte, len(l.docs))
-	for name, data := range l.docs {
-		docs[name] = data
+	// Document histories are captured under the lock, at exactly the
+	// roll point: an edit record's base must be the version the snapshot
+	// leaves, so unlike full-state records a document may not race into
+	// both the snapshot and the segments after it.
+	docs := make(map[string]docLog, len(l.st.docs))
+	for name, dl := range l.st.docs {
+		docs[name] = *dl
 	}
 	st := l.st
 	l.mu.Unlock()
@@ -587,7 +663,7 @@ func (l *Log) snapshot() error {
 
 // writeSnapshot serializes the state into snap-<seq>.snap via a temp file
 // and an atomic rename.
-func writeSnapshot(dir string, seq uint64, st *State, docs map[string][]byte) (int64, error) {
+func writeSnapshot(dir string, seq uint64, st *State, docs map[string]docLog) (int64, error) {
 	final := filepath.Join(dir, snapName(seq))
 	tmp := final + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -596,11 +672,13 @@ func writeSnapshot(dir string, seq uint64, st *State, docs map[string][]byte) (i
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
 	var size int64
-	write := func(op byte, fields ...[]byte) error {
-		frame := encodeFrame(op, fields...)
+	writeFrame := func(frame []byte) error {
 		size += int64(len(frame))
 		_, err := bw.Write(frame)
 		return err
+	}
+	write := func(op byte, fields ...[]byte) error {
+		return writeFrame(encodeFrame(op, fields...))
 	}
 
 	names := make([]string, 0, len(docs))
@@ -610,7 +688,8 @@ func writeSnapshot(dir string, seq uint64, st *State, docs map[string][]byte) (i
 	sort.Strings(names)
 	var werr error
 	for _, name := range names {
-		if werr = write(recPutDoc, []byte(name), docs[name]); werr != nil {
+		dl := docs[name]
+		if werr = dl.frames(name, writeFrame); werr != nil {
 			break
 		}
 	}

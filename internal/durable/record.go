@@ -30,9 +30,17 @@ import (
 	"io"
 )
 
-// Record ops. Every mutation of the served corpus becomes one record.
+// Record ops. Every mutation of the served corpus becomes one record; a
+// document edit becomes its change records (recEditDoc), not a new copy
+// of the document.
 const (
-	// recPutDoc registers a document: [name, binary document].
+	// recPutDoc registers a document: [name, binary document] or [name,
+	// binary document, generation(u64 BE)]. The optional generation is
+	// the one the document keeps at this put — nonzero when the put
+	// re-bases an edited document (see docs.go) or, in a cluster,
+	// replaces a document and starts its next epoch — so generations
+	// keep increasing across a re-base, a re-put and a restart. The put
+	// resets the document's version to H(binary document).
 	recPutDoc byte = 1
 	// recDelDoc removes a document: [name].
 	recDelDoc byte = 2
@@ -66,6 +74,14 @@ const (
 	// like recChunk; old snapshots (plain recPutBlk) still load, and old
 	// binaries reject these ops loudly rather than misreading them.
 	recPutBlkC byte = 9
+	// recEditDoc applies an edit batch to a document: [name, base
+	// version (16 bytes), records (core.EncodeChangeRecords)]. The base
+	// must be the document's version when the record applies; replay
+	// re-executes the records through internal/edit, and a base mismatch
+	// or an inapplicable record is corruption. An edit costs its records,
+	// not a re-encoded document. Binaries that predate the op reject it
+	// as an unknown op — loudly, in replay and in replication alike.
+	recEditDoc byte = 10
 )
 
 // maxRecordBytes bounds one record's payload; larger lengths in a frame

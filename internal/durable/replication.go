@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/media"
 )
 
@@ -18,15 +19,20 @@ import (
 // replica verifies and appends them through AppendFrames — replaying
 // exactly what crash recovery replays, so a replica's directory is
 // byte-compatible with a primary's and either can recover the other's
-// state. A rejoining node catches up the same way: ResyncChunk walks the
-// live state in deterministic key order and re-frames it as the records
-// a snapshot would hold.
+// state. A document edit ships as its change records (recEditDoc) against
+// the version the primary's copy was at; a replica whose copy is at
+// another version refuses it with ErrStaleBase, and the primary re-bases
+// the document (Log.Rebase) on every replica. A rejoining node catches up
+// the same way: ResyncChunk walks the live state in deterministic key
+// order and re-frames it as the records a snapshot would hold — a
+// document as its base put followed by its edit tail.
 
 // Exported record-op aliases for replication consumers (the cluster
 // layer routes records by key, and the key is Fields[0] for every op).
 const (
 	RecPutDoc  = recPutDoc
 	RecDelDoc  = recDelDoc
+	RecEditDoc = recEditDoc
 	RecPutBlk  = recPutBlk
 	RecDelBlk  = recDelBlk
 	RecPutDesc = recPutDesc
@@ -44,7 +50,13 @@ type Record struct {
 // FramePutDoc frames a document registration. docBinary is the
 // codec.EncodeBinary form of the document.
 func FramePutDoc(name string, docBinary []byte) []byte {
-	return encodeFrame(recPutDoc, []byte(name), docBinary)
+	return FramePutDocAt(name, docBinary, 0)
+}
+
+// FramePutDocAt frames a document registration that keeps generation gen
+// (FramePutDoc starts the document at zero).
+func FramePutDocAt(name string, docBinary []byte, gen uint64) []byte {
+	return encodeFrame(recPutDoc, putFields(name, docBinary, gen)...)
 }
 
 // FrameDelDoc frames a document removal.
@@ -158,16 +170,38 @@ func FilterFrames(frames []byte, keep func(Record) bool) ([]byte, error) {
 	return out, nil
 }
 
+// DocChange is one document a replicated batch changed, reported so a
+// serving registry can follow the log without decoding anything again.
+type DocChange struct {
+	Name string
+	// Doc is the document after the batch, nil when the batch removed
+	// it. It is the log's own copy: clone it before retaining it, and
+	// read it only while no other append to the log can run.
+	Doc *core.Document
+	// Gen is the document's generation after the batch.
+	Gen uint64
+	// Edits, when the batch only edited the document, are its change
+	// records in order: a registry holding the pre-batch document applies
+	// them as a delta instead of re-registering the whole.
+	Edits []core.ChangeRecord
+}
+
 // AppendFrames verifies a batch of framed records, appends them to the
 // WAL and applies each to the live state — the replica half of log
 // shipping. The whole batch is validated (checksums, field shapes,
-// decodability, content-address agreement) before anything is appended,
-// so a bad batch can never brick the directory with a record recovery
-// would reject. Records whose effect the state already holds are skipped
-// — equal-bytes document re-puts, blocks already stored under their
-// content address, name registrations already pointing at the same id —
-// so a full-state resync replayed over a mostly-caught-up replica
-// appends only the delta.
+// decodability, content-address agreement, edit base versions and
+// applicability) before anything is appended, so a bad batch can never
+// brick the directory with a record recovery would reject; a rejected
+// batch appends nothing and leaves the state as it was. An edit whose
+// base is not the document's current version fails with ErrStaleBase.
+// Records whose effect the state already holds are skipped —
+// a document put (with the edits following it) that lands on the
+// document's current version and generation, blocks already stored under
+// their content address, name registrations already pointing at the same
+// id — so a full-state resync replayed over a mostly-caught-up replica
+// appends only the delta. An edit that leaves a document's tail larger
+// than its base is followed by the same re-base put the primary's own log
+// journaled at that record.
 //
 // The caller must NOT have attached this log as the state's mutation
 // journal (media.Store.SetJournal / ddbms journal): AppendFrames applies
@@ -175,72 +209,118 @@ func FilterFrames(frames []byte, keep func(Record) bool) ([]byte, error) {
 // state would record every record twice. Cluster nodes replicate
 // explicitly and leave the journal detached.
 //
-// It returns the names of documents the batch registered (putDocs) and
-// removed (delDocs), so a serving registry can be refreshed.
-func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error) {
+// It returns the documents the batch changed, in first-touched order.
+func (l *Log) AppendFrames(frames []byte) ([]DocChange, error) {
 	recs, err := DecodeFrames(frames)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	type planned struct {
-		rec   Record
-		apply func()
+		op     byte
+		fields [][]byte
+		apply  func() // nil for document records, applied while validating
+	}
+	// docNote tracks what the batch did to one document: reset by a put
+	// or delete, or only edited by edits.
+	type docNote struct {
+		reset bool
+		edits []core.ChangeRecord
 	}
 
 	l.mu.Lock()
-	if l.closed {
+	if err := l.healthyLocked(); err != nil {
 		l.mu.Unlock()
-		return nil, nil, ErrClosed
-	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return nil, nil, err
+		return nil, err
 	}
 
 	plan := make([]planned, 0, len(recs))
+	// Document records apply while validating — an edit validates against
+	// the state the records before it left — and undo rolls them back if
+	// a later record fails.
+	var undo []docUndo
+	notes := make(map[string]*docNote)
+	var order []string
+	note := func(name string, reset bool, edits []core.ChangeRecord) {
+		n, ok := notes[name]
+		if !ok {
+			n = &docNote{}
+			notes[name] = n
+			order = append(order, name)
+		}
+		if reset {
+			n.reset, n.edits = true, nil
+		} else if !n.reset {
+			n.edits = append(n.edits, edits...)
+		}
+	}
 	want := func(r Record, n int) error {
 		if len(r.Fields) != n {
 			return fmt.Errorf("durable: replicated op %d: want %d fields, got %d", r.Op, n, len(r.Fields))
 		}
 		return nil
 	}
-	for _, r := range recs {
-		r := r
+	for i := 0; i < len(recs); i++ {
+		r := recs[i]
 		switch r.Op {
 		case recPutDoc:
-			if err = want(r, 2); err != nil {
+			name, doc, gen, perr := parsePut(r.Fields)
+			if perr != nil {
+				err = fmt.Errorf("durable: replicated %w", perr)
 				break
 			}
-			name := string(r.Fields[0])
-			if prev, ok := l.docs[name]; ok && bytes.Equal(prev, r.Fields[1]) {
+			// A put and the edits after it are one document state (a
+			// snapshot's or resync's rendering of a history): a log
+			// already at that version appends none of them.
+			end, v := i+1, baseVersion(doc)
+			for ; end < len(recs) && isEditOf(recs[end], name); end++ {
+				v = v.next(recs[end].Fields[2])
+			}
+			if dl, ok := l.st.docs[name]; ok && dl.version == v && dl.gen == gen {
+				i = end - 1
 				continue
 			}
-			doc, derr := codec.DecodeBinary(r.Fields[1])
+			d, derr := codec.DecodeBinary(doc)
 			if derr != nil {
 				err = fmt.Errorf("durable: replicated document %q: %w", name, derr)
 				break
 			}
-			data := append([]byte(nil), r.Fields[1]...)
-			plan = append(plan, planned{r, func() {
-				l.docs[name] = data
-				l.st.Docs[name] = doc
-				putDocs = append(putDocs, name)
-			}})
+			undo = append(undo, l.st.saveDoc(name, false))
+			l.st.putDoc(name, append([]byte(nil), doc...), gen, d)
+			note(name, true, nil)
+			plan = append(plan, planned{op: r.Op, fields: r.Fields})
 		case recDelDoc:
 			if err = want(r, 1); err != nil {
 				break
 			}
 			name := string(r.Fields[0])
-			if _, ok := l.docs[name]; !ok {
+			if _, ok := l.st.docs[name]; !ok {
 				continue
 			}
-			plan = append(plan, planned{r, func() {
-				delete(l.docs, name)
-				delete(l.st.Docs, name)
-				delDocs = append(delDocs, name)
-			}})
+			undo = append(undo, l.st.saveDoc(name, false))
+			l.st.delDoc(name)
+			note(name, true, nil)
+			plan = append(plan, planned{op: r.Op, fields: r.Fields})
+		case recEditDoc:
+			name, base, crecs, perr := parseEdit(r.Fields)
+			if perr != nil {
+				err = fmt.Errorf("durable: replicated %w", perr)
+				break
+			}
+			undo = append(undo, l.st.saveDoc(name, true))
+			if err = l.st.editDoc(name, base, crecs, append([]byte(nil), r.Fields[2]...)); err != nil {
+				break
+			}
+			note(name, false, crecs)
+			plan = append(plan, planned{op: r.Op, fields: r.Fields})
+			if l.st.docs[name].rebaseDue() {
+				undo = append(undo, l.st.saveDoc(name, false))
+				var fields [][]byte
+				if fields, err = l.st.rebase(name); err != nil {
+					break
+				}
+				plan = append(plan, planned{op: recPutDoc, fields: fields})
+			}
 		case recPutBlk:
 			if err = want(r, 6); err != nil {
 				break
@@ -263,7 +343,7 @@ func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error)
 				continue
 			}
 			register := r.Fields[5][0] == 1
-			plan = append(plan, planned{r, func() { l.st.Store.PutOwned(b, register) }})
+			plan = append(plan, planned{r.Op, r.Fields, func() { l.st.Store.PutOwned(b, register) }})
 		case recDelBlk:
 			if err = want(r, 1); err != nil {
 				break
@@ -272,7 +352,7 @@ func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error)
 			if _, ok := l.st.Store.Get(id); !ok {
 				continue
 			}
-			plan = append(plan, planned{r, func() { l.st.Store.Delete(id) }})
+			plan = append(plan, planned{r.Op, r.Fields, func() { l.st.Store.Delete(id) }})
 		case recName:
 			if err = want(r, 2); err != nil {
 				break
@@ -281,7 +361,7 @@ func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error)
 			if cur, ok := l.st.Store.Resolve(name); ok && cur == id {
 				continue
 			}
-			plan = append(plan, planned{r, func() { l.st.Store.RegisterName(name, id) }})
+			plan = append(plan, planned{r.Op, r.Fields, func() { l.st.Store.RegisterName(name, id) }})
 		case recPutDesc:
 			if err = want(r, 2); err != nil {
 				break
@@ -297,7 +377,7 @@ func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error)
 					continue
 				}
 			}
-			plan = append(plan, planned{r, func() { l.st.DB.Upsert(id, desc) }})
+			plan = append(plan, planned{r.Op, r.Fields, func() { l.st.DB.Upsert(id, desc) }})
 		case recDelDesc:
 			if err = want(r, 1); err != nil {
 				break
@@ -306,31 +386,51 @@ func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error)
 			if _, ok := l.st.DB.Get(id); !ok {
 				continue
 			}
-			plan = append(plan, planned{r, func() { l.st.DB.Delete(id) }})
+			plan = append(plan, planned{r.Op, r.Fields, func() { l.st.DB.Delete(id) }})
 		default:
 			err = fmt.Errorf("durable: replicated record: unknown op %d", r.Op)
 		}
 		if err != nil {
+			l.st.undoDocs(undo)
 			l.mu.Unlock()
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
 	snapDue := false
 	for _, p := range plan {
-		due, aerr := l.appendLocked(p.rec.Op, p.rec.Fields...)
+		due, aerr := l.appendLocked(p.op, p.fields...)
 		if aerr != nil {
 			l.mu.Unlock()
-			return nil, nil, aerr
+			return nil, aerr
 		}
 		snapDue = snapDue || due
-		p.apply()
+		if p.apply != nil {
+			p.apply()
+		}
+	}
+	changes := make([]DocChange, 0, len(order))
+	for _, name := range order {
+		c := DocChange{Name: name, Doc: l.st.Docs[name]}
+		if c.Doc != nil {
+			c.Gen = l.st.Generation(name)
+			if !notes[name].reset {
+				c.Edits = notes[name].edits
+			}
+		}
+		changes = append(changes, c)
 	}
 	l.mu.Unlock()
 	if snapDue {
 		l.snapshotAsync()
 	}
-	return putDocs, delDocs, nil
+	return changes, nil
+}
+
+// isEditOf reports whether r is a well-formed edit record of the named
+// document.
+func isEditOf(r Record, name string) bool {
+	return r.Op == recEditDoc && len(r.Fields) == 3 && string(r.Fields[0]) == name
 }
 
 // Resync cursor phases, walked in snapshot order.
@@ -352,7 +452,9 @@ var resyncPhases = []string{resyncDocs, resyncBlocks, resyncNames, resyncDescs}
 // started. The chunk stops once maxBytes is exceeded; next == "" means
 // the walk is complete. This is the pull half of a rejoining replica's
 // catch-up: the records are exactly what a snapshot of the source would
-// hold, so the target replays them like crash recovery.
+// hold, so the target replays them like crash recovery. A document is one
+// key — its base put and edit tail never split across chunks — and a
+// target already at the document's version appends none of it.
 func (l *Log) ResyncChunk(cursor string, maxBytes int) (frames []byte, next string, err error) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
@@ -420,8 +522,8 @@ func (l *Log) resyncKeys(phase string) []string {
 	switch phase {
 	case resyncDocs:
 		l.mu.Lock()
-		keys := make([]string, 0, len(l.docs))
-		for name := range l.docs {
+		keys := make([]string, 0, len(l.st.docs))
+		for name := range l.st.docs {
 			keys = append(keys, name)
 		}
 		l.mu.Unlock()
@@ -447,15 +549,21 @@ func (l *Log) resyncFrame(phase, key string) ([]byte, error) {
 	switch phase {
 	case resyncDocs:
 		l.mu.Lock()
-		data, ok := l.docs[key]
+		dl, ok := l.st.docs[key]
+		var hist docLog
 		if ok {
-			data = append([]byte(nil), data...)
+			hist = *dl
 		}
 		l.mu.Unlock()
 		if !ok {
 			return nil, nil
 		}
-		return FramePutDoc(key, data), nil
+		var frames []byte
+		err := hist.frames(key, func(frame []byte) error {
+			frames = append(frames, frame...)
+			return nil
+		})
+		return frames, err
 	case resyncBlocks:
 		b, ok := l.st.Store.Get(key)
 		if !ok {

@@ -25,7 +25,7 @@ func shipAll(t *testing.T, src, dst *Log, maxBytes int) {
 			t.Fatalf("ResyncChunk(%q): %v", cursor, err)
 		}
 		if len(frames) > 0 {
-			if _, _, err := dst.AppendFrames(frames); err != nil {
+			if _, err := dst.AppendFrames(frames); err != nil {
 				t.Fatalf("AppendFrames: %v", err)
 			}
 		}
@@ -169,12 +169,12 @@ func TestAppendFramesAppliesAndSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putDocs, delDocs, err := dst.AppendFrames(FramePutDoc("repl", data))
+	changes, err := dst.AppendFrames(FramePutDoc("repl", data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(putDocs) != 1 || putDocs[0] != "repl" || len(delDocs) != 0 {
-		t.Fatalf("putDocs=%v delDocs=%v", putDocs, delDocs)
+	if len(changes) != 1 || changes[0].Name != "repl" || changes[0].Doc == nil || changes[0].Edits != nil {
+		t.Fatalf("changes = %+v, want one put of repl", changes)
 	}
 
 	if err := dst.Close(); err != nil {
@@ -221,19 +221,19 @@ func TestAppendFramesDedupes(t *testing.T) {
 	stream := append(append([]byte(nil), FramePutDoc("dd", data)...), bf...)
 	stream = append(stream, FrameRegisterName("dd.txt", blk.ID)...)
 
-	if _, _, err := l.AppendFrames(stream); err != nil {
+	if _, err := l.AppendFrames(stream); err != nil {
 		t.Fatal(err)
 	}
 	before := l.Stats().Records
 	if before != 3 {
 		t.Fatalf("first batch appended %d records, want 3", before)
 	}
-	putDocs, _, err := l.AppendFrames(stream)
+	changes, err := l.AppendFrames(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(putDocs) != 0 {
-		t.Fatalf("re-put reported changed docs: %v", putDocs)
+	if len(changes) != 0 {
+		t.Fatalf("re-put reported changed docs: %+v", changes)
 	}
 	if after := l.Stats().Records; after != before {
 		t.Fatalf("idempotent re-send appended %d records", after-before)
@@ -257,7 +257,7 @@ func TestAppendFramesRejectsBadBatchAtomically(t *testing.T) {
 	// (putdoc whose document bytes are garbage): nothing may append.
 	stream := append([]byte(nil), FramePutDoc("ok", data)...)
 	stream = append(stream, FramePutDoc("bad", []byte("garbage"))...)
-	if _, _, err := l.AppendFrames(stream); err == nil {
+	if _, err := l.AppendFrames(stream); err == nil {
 		t.Fatal("bad batch accepted")
 	}
 	if n := l.Stats().Records; n != 0 {
@@ -267,7 +267,7 @@ func TestAppendFramesRejectsBadBatchAtomically(t *testing.T) {
 		t.Fatalf("bad batch stuck the log: %v", err)
 	}
 	// The log must still accept a good batch afterwards.
-	if _, _, err := l.AppendFrames(FramePutDoc("ok", data)); err != nil {
+	if _, err := l.AppendFrames(FramePutDoc("ok", data)); err != nil {
 		t.Fatalf("log unusable after rejected batch: %v", err)
 	}
 }

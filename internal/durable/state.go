@@ -14,12 +14,16 @@ import (
 // State is the recovered corpus: the block store, the descriptor database
 // and the registered documents. Open and Load rebuild one by replaying the
 // newest snapshot plus the WAL tail. Once the log is attached as the
-// store's and database's journal, State stays the live corpus: Log.PutDoc
-// and Log.DelDoc keep Docs in step with what they journal.
+// store's and database's journal, State stays the live corpus: Log.PutDoc,
+// Log.EditDoc and Log.DelDoc keep Docs in step with what they journal.
 type State struct {
 	Store *media.Store
 	DB    *ddbms.DB
 	Docs  map[string]*core.Document
+
+	// docs is each document's durable history (docs.go): the base put
+	// and edit tail that rebuild Docs[name], and its version.
+	docs map[string]*docLog
 
 	// descMemo caches descriptor parses by their wire text during
 	// replay: a corpus of same-shaped blocks repeats a handful of
@@ -44,6 +48,7 @@ func newState() *State {
 		Store:    media.NewStore(),
 		DB:       ddbms.New(),
 		Docs:     make(map[string]*core.Document),
+		docs:     make(map[string]*docLog),
 		descMemo: make(map[string]attr.List),
 	}
 }
@@ -61,9 +66,9 @@ func (st *State) parseDesc(data []byte) (attr.List, error) {
 	return desc, nil
 }
 
-// apply replays one decoded record into the state. Errors wrap the
-// offending op; arbitrary bytes must never panic, only fail (the fuzzed
-// guarantee).
+// apply replays one decoded record into the state. Fields may alias a
+// reused buffer; apply copies what it keeps. Errors wrap the offending
+// op; arbitrary bytes must never panic, only fail (the fuzzed guarantee).
 func (st *State) apply(op byte, fields [][]byte) error {
 	want := func(n int) error {
 		if len(fields) != n {
@@ -73,19 +78,26 @@ func (st *State) apply(op byte, fields [][]byte) error {
 	}
 	switch op {
 	case recPutDoc:
-		if err := want(2); err != nil {
+		name, doc, gen, err := parsePut(fields)
+		if err != nil {
 			return err
 		}
-		d, err := codec.DecodeBinary(fields[1])
+		d, err := codec.DecodeBinary(doc)
 		if err != nil {
-			return fmt.Errorf("putdoc %q: %w", fields[0], err)
+			return fmt.Errorf("putdoc %q: %w", name, err)
 		}
-		st.Docs[string(fields[0])] = d
+		st.putDoc(name, append([]byte(nil), doc...), gen, d)
 	case recDelDoc:
 		if err := want(1); err != nil {
 			return err
 		}
-		delete(st.Docs, string(fields[0]))
+		st.delDoc(string(fields[0]))
+	case recEditDoc:
+		name, base, recs, err := parseEdit(fields)
+		if err != nil {
+			return err
+		}
+		return st.editDoc(name, base, recs, append([]byte(nil), fields[2]...))
 	case recPutBlk:
 		if err := want(6); err != nil {
 			return err

@@ -149,8 +149,11 @@ func (l *liveState) initLocked() {
 }
 
 // Generation reports the authoritative generation of the document
-// registered under name: how many change records have been applied since
-// it was last wholesale registered.
+// registered under name: the baseline its last wholesale registration set
+// (zero for PutDoc, see PutDocAt) plus, for every edit batch applied
+// since, one for the batch and one per change record it made. The count
+// crosses the wire in SubmitEdit replies and subscription events, so it
+// must not change between releases (an edge compares it per delta).
 func (r *Registry) Generation(name string) uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -373,11 +376,18 @@ func pathTouches(p, subtree string) bool {
 // batch (a record whose pre-edit path no longer resolves, because an
 // earlier writer's edit won the registry lock) is rejected without
 // side effects, and the submitter refetches. Accepted batches journal
-// through the OnPutDoc durability hook before fanning out to
+// through the OnEditDoc durability hook before fanning out to
 // subscribers, both under the registry lock: the WAL order, the registry
 // order and the delta order every watcher observes are the same order.
 // It returns the document's new generation.
 func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error) {
+	return r.EditDocJournaled(name, recs, r.OnEditDoc)
+}
+
+// EditDocJournaled is EditDoc journaling through journal instead of the
+// OnEditDoc hook; a nil journal records nothing. A cluster node uses it
+// to capture the WAL frame its primary write ships to the replicas.
+func (r *Registry) EditDocJournaled(name string, recs []core.ChangeRecord, journal func(name string, recs []core.ChangeRecord) error) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, fmt.Errorf("transport: empty edit batch")
 	}
@@ -391,13 +401,17 @@ func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error
 	if err := edit.Apply(clone, recs); err != nil {
 		return 0, fmt.Errorf("conflict: %w", err)
 	}
-	r.docs[name] = clone
-	if r.OnPutDoc != nil {
-		r.OnPutDoc(name, clone)
+	if journal != nil {
+		if err := journal(name, recs); err != nil {
+			return 0, fmt.Errorf("transport: journal edit of %q: %w", name, err)
+		}
 	}
+	r.docs[name] = clone
 	r.live.initLocked()
 	delete(r.live.enc, name)
 	from := r.live.gens[name]
+	// A fresh clone's change log already holds the note that building it
+	// records, so each batch counts one more than its changes.
 	to := from + clone.Generation()
 	r.live.gens[name] = to
 	if len(r.live.subs[name]) > 0 {

@@ -76,6 +76,11 @@ func TestSubscribeDeltaFlow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SubmitEdit %d: %v", i, err)
 		}
+		// One for the batch plus one for its change record: the wire
+		// arithmetic an edge of any release checks per delta.
+		if want != gen+2 {
+			t.Fatalf("SubmitEdit %d returned generation %d, want %d", i, want, gen+2)
+		}
 		ev, err := sub.Recv(ctx)
 		if err != nil {
 			t.Fatalf("Recv %d: %v", i, err)

@@ -26,10 +26,17 @@ type Registry struct {
 	docs  map[string]*core.Document
 	Store *media.Store
 
-	// OnPutDoc, when non-nil, observes every document registration
-	// (with the registry's own clone, after it lands). The durability
-	// layer uses it to journal document mutations. Set before serving.
+	// OnPutDoc, when non-nil, observes every wholesale document
+	// registration (with the registry's own clone, after it lands). The
+	// durability layer uses it to journal document puts. Set before
+	// serving.
 	OnPutDoc func(name string, d *core.Document)
+	// OnEditDoc, when non-nil, journals every edit batch EditDoc accepts:
+	// it runs after the batch applies to the registry's clone and before
+	// the clone is installed and fanned out, and an error refuses the
+	// batch. The durability layer uses it to journal the batch's change
+	// records rather than the edited document. Set before serving.
+	OnEditDoc func(name string, recs []core.ChangeRecord) error
 	// DurabilityErr, when non-nil, reports whether the durability layer
 	// has failed; mutating ops are refused once it returns non-nil, so
 	// the server never acknowledges a write it could not persist. Set

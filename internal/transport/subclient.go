@@ -32,7 +32,9 @@ type SubEventKind int
 const (
 	// SubSnapshot carries the full document at a generation: the first
 	// event of every subscription, and again whenever the document is
-	// wholesale replaced (the generation restarts at zero).
+	// wholesale replaced (at the generation the replacement carries —
+	// zero for a put to a single server, the next epoch's first on a
+	// cluster node).
 	SubSnapshot SubEventKind = iota + 1
 	// SubDelta carries the change records advancing the document from
 	// FromGen to Gen. Deltas are contiguous: each event's FromGen equals
